@@ -66,11 +66,6 @@ void MergeObsCounters(benchmark::State& state) {
   put("obs_slice_inputs_dropped", "slice/inputs_dropped");
   put("obs_slice_sliced", "slice/sliced");
   put("obs_slice_lasso_bailouts", "slice/lasso_bailouts");
-  // Directed-search strategies: restart attempts exhausted, successors
-  // dropped by commuting-input pruning, heuristic evaluations spent.
-  put("obs_search_restarts", "search/restarts");
-  put("obs_search_pruned_successors", "search/pruned_successors");
-  put("obs_search_heuristic_evals", "search/heuristic_evals");
   uint64_t cone = snap.CounterValue("slice/cone_size");
   uint64_t dropped = snap.CounterValue("slice/relations_dropped");
   if (cone + dropped > 0) {
@@ -111,11 +106,8 @@ void MergeObsCounters(benchmark::State& state) {
 // for the on-the-fly early exit (tools/bench_guard.py compares them).
 // The _NoSlice row is the baseline for the cone-of-influence slicer: on
 // this VIOLATED property the sliced probe is pure overhead (the first
-// valuation already has a lasso), so the row bounds that overhead. The
-// _Directed row swaps the CVWY nested DFS for the Büchi-distance
-// best-first hunter — the A/B pair for the directed-search guard rule.
-void RunProperty1(benchmark::State& state, bool eager, bool slice = true,
-                  const char* strategy = "dfs") {
+// valuation already has a lasso), so the row bounds that overhead.
+void RunProperty1(benchmark::State& state, bool eager, bool slice = true) {
   std::optional<analysis::ScopedDisableSlice> no_slice;
   if (!slice) no_slice.emplace();
   WebService service = std::move(BuildEcommerceService()).value();
@@ -124,7 +116,6 @@ void RunProperty1(benchmark::State& state, bool eager, bool slice = true,
   options.graph.constant_pool = {V("alice"), V("pw")};
   options.require_input_bounded = false;
   options.force_eager = eager;
-  options.search.strategy = strategy;
   LtlVerifier verifier(&service, options);
   auto prop = ParseTemporalProperty("G(!PIP) | F(PIP & F(CC))",
                                     &service.vocab());
@@ -157,21 +148,13 @@ void BM_Property1_Ecommerce_NoSlice(benchmark::State& state) {
 }
 BENCHMARK(BM_Property1_Ecommerce_NoSlice)->Unit(benchmark::kMillisecond);
 
-void BM_Property1_Directed(benchmark::State& state) {
-  RunProperty1(state, /*eager=*/false, /*slice=*/true, "directed");
-}
-BENCHMARK(BM_Property1_Directed)->Unit(benchmark::kMillisecond);
-
 // --- E2c: deep-lasso counterexample hunting. ---------------------------
 //
-// A decoy service built for the strategy A/B: the home page offers a
-// fan of "go" buttons leading into a long violation-free page chain,
-// plus one late-ordered "zz_bug" button leading to the violating sink.
-// CVWY explores successors in order, so it sweeps the whole decoy chain
-// before trying the bug button; the directed hunter pops the accepting
-// product state (Büchi distance 0) the moment it is discovered and
-// never walks the chain. The three rows are the A/B/B' family for the
-// directed-search budget rules.
+// A decoy service: the home page offers a fan of "go" buttons leading
+// into a long violation-free page chain, plus one late-ordered "zz_bug"
+// button leading to the violating sink. CVWY explores successors in
+// order, so it sweeps the whole decoy chain before trying the bug
+// button; the row's state-count budget guards that worst case.
 std::string DeepDecoySpecText(int fanout, int chain) {
   std::string s =
       "service DeepDecoy;\n\n"
@@ -197,7 +180,7 @@ std::string DeepDecoySpecText(int fanout, int chain) {
   return s;
 }
 
-void RunDeepLasso(benchmark::State& state, const char* strategy) {
+void BM_DeepLasso_Dfs(benchmark::State& state) {
   WebService service =
       std::move(ParseServiceSpec(DeepDecoySpecText(/*fanout=*/4,
                                                    /*chain=*/40)))
@@ -205,9 +188,7 @@ void RunDeepLasso(benchmark::State& state, const char* strategy) {
   Instance db;
   Status st = db.AddFact("user", {V("alice")});
   (void)st;
-  LtlVerifyOptions options;
-  options.search.strategy = strategy;
-  LtlVerifier verifier(&service, options);
+  LtlVerifier verifier(&service, LtlVerifyOptions());
   auto prop = ParseTemporalProperty("G(!MP)", &service.vocab());
   obs::ResetMetrics();
   for (auto _ : state) {
@@ -220,28 +201,13 @@ void RunDeepLasso(benchmark::State& state, const char* strategy) {
   MergeObsCounters(state);
   state.SetLabel("VIOLATED (bug button ordered after the decoy chain)");
 }
-
-void BM_DeepLasso_Dfs(benchmark::State& state) {
-  RunDeepLasso(state, "dfs");
-}
 BENCHMARK(BM_DeepLasso_Dfs)->Unit(benchmark::kMillisecond);
-
-void BM_DeepLasso_Directed(benchmark::State& state) {
-  RunDeepLasso(state, "directed");
-}
-BENCHMARK(BM_DeepLasso_Directed)->Unit(benchmark::kMillisecond);
-
-void BM_DeepLasso_Restart(benchmark::State& state) {
-  RunDeepLasso(state, "restart");
-}
-BENCHMARK(BM_DeepLasso_Restart)->Unit(benchmark::kMillisecond);
 
 // Property 4 holds, so slicing pays off in full: the sliced graph alone
 // proves the absence of accepting lassos and the unsliced product is
 // never built. The _NoSlice row is the A/B baseline for the guard's
 // cone-reduction compare rules.
-void RunProperty4(benchmark::State& state, bool eager, bool slice = true,
-                  const char* strategy = "dfs") {
+void RunProperty4(benchmark::State& state, bool eager, bool slice = true) {
   std::optional<analysis::ScopedDisableSlice> no_slice;
   if (!slice) no_slice.emplace();
   WebService service = std::move(BuildEcommerceService()).value();
@@ -251,7 +217,6 @@ void RunProperty4(benchmark::State& state, bool eager, bool slice = true,
   options.require_input_bounded = false;
   options.closure_candidates = {V("p1"), V("100"), V("alice")};
   options.force_eager = eager;
-  options.search.strategy = strategy;
   LtlVerifier verifier(&service, options);
   auto prop = ParseTemporalProperty(
       "forall pid, price . ((UPP & payamount(price) & button(\"submit\") "
@@ -288,15 +253,6 @@ void BM_Property4_PayBeforeShip_NoSlice(benchmark::State& state) {
   RunProperty4(state, /*eager=*/false, /*slice=*/false);
 }
 BENCHMARK(BM_Property4_PayBeforeShip_NoSlice)->Unit(benchmark::kMillisecond);
-
-// Anti-inversion row: a HOLDS sweep has no lasso to hunt, so the
-// directed strategy must cost no extra product states over CVWY (both
-// exhaust the same product). Guarded at ratio <= 1.0.
-void BM_Property4_PayBeforeShip_Directed(benchmark::State& state) {
-  RunProperty4(state, /*eager=*/false, /*slice=*/true, "directed");
-}
-BENCHMARK(BM_Property4_PayBeforeShip_Directed)
-    ->Unit(benchmark::kMillisecond);
 
 // --- E2b: the parallel engine, /jobs:1 vs /jobs:N. ---------------------
 //

@@ -1,10 +1,8 @@
 #include "automata/emptiness.h"
 
 #include <algorithm>
-#include <memory>
 #include <queue>
 
-#include "automata/search_strategy.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -163,30 +161,169 @@ std::optional<Lasso> FindAcceptingLasso(
   return std::nullopt;
 }
 
+namespace {
+
+// How often cooperative cancellation is polled: the on-the-fly search
+// checks its `stop` hook once per this many vertex expansions.
+constexpr uint64_t kCancellationPollInterval = 64;
+
+// CVWY nested DFS over an implicit graph (the SPIN strategy). One
+// instance per search: the colors and stacks live for one
+// FindAcceptingLassoOnTheFly call.
+class CvwyRun {
+ public:
+  CvwyRun(const std::function<StatusOr<const std::vector<int>*>(int)>& succ,
+          const std::function<bool(int)>& accepting,
+          const std::function<bool()>& stop, NestedDfsStats& st)
+      : succ_(succ), accepting_(accepting), stop_(stop), st_(st) {}
+
+  StatusOr<std::optional<Lasso>> Run(const std::vector<int>& initial) {
+    for (int root : initial) {
+      Ensure(root);
+      if (color_[root] != kWhite) continue;
+      color_[root] = kCyan;
+      blue_stack_.push_back(root);
+      stack_pos_[root] = 0;
+      WSV_ASSIGN_OR_RETURN(const std::vector<int>* root_succs, succ_(root));
+      blue_.assign(1, Frame{root, root_succs, 0});
+      Visit();
+
+      while (!blue_.empty()) {
+        Frame& f = blue_.back();
+        if (f.child < f.succs->size()) {
+          int w = (*f.succs)[f.child++];
+          Ensure(w);
+          if (color_[w] != kWhite) continue;
+          if (Cancelled()) {
+            return Status::Cancelled("emptiness search cancelled");
+          }
+          color_[w] = kCyan;
+          stack_pos_[w] = static_cast<int>(blue_stack_.size());
+          blue_stack_.push_back(w);
+          WSV_ASSIGN_OR_RETURN(const std::vector<int>* w_succs, succ_(w));
+          blue_.push_back(Frame{w, w_succs, 0});
+          Visit();
+        } else {
+          // Post-order of v: accepting vertices seed the inner search
+          // while still cyan (the seed itself closing the cycle is the
+          // w == s case).
+          const int v = f.v;
+          if (accepting_(v)) {
+            WSV_ASSIGN_OR_RETURN(int w, RedDfs(v));
+            if (w != -1) return std::optional<Lasso>(Assemble(w));
+          }
+          color_[v] = accepting_(v) ? kRed : kBlue;
+          stack_pos_[v] = -1;
+          blue_stack_.pop_back();
+          blue_.pop_back();
+        }
+      }
+    }
+    return std::optional<Lasso>(std::nullopt);
+  }
+
+ private:
+  // CVWY colors. Invariants: cyan vertices are exactly the blue-DFS
+  // stack; blue vertices are fully explored and accepting-cycle-free so
+  // far; red vertices have been swept by some inner (red) DFS and never
+  // need re-sweeping — the red set persists across seeds, which is what
+  // makes the nested search linear.
+  enum : char { kWhite = 0, kCyan = 1, kBlue = 2, kRed = 3 };
+
+  struct Frame {
+    int v;
+    const std::vector<int>* succs;
+    size_t child;
+  };
+
+  void Ensure(int v) {
+    if (static_cast<size_t>(v) >= color_.size()) {
+      color_.resize(static_cast<size_t>(v) + 1, kWhite);
+      stack_pos_.resize(static_cast<size_t>(v) + 1, -1);
+    }
+  }
+
+  void Visit() {
+    ++st_.vertices_visited;
+    st_.max_depth = std::max<uint64_t>(st_.max_depth, blue_stack_.size());
+  }
+
+  // Polls `stop` once per kCancellationPollInterval expansions.
+  bool Cancelled() {
+    return stop_ && (++ops_ % kCancellationPollInterval) == 0 && stop_();
+  }
+
+  // The cycle was detected with the red DFS (frames in `red_`, seed on
+  // top of `blue_stack_`) reaching the cyan vertex `w`: assemble
+  //   prefix = blue stack (initial root .. seed s)
+  //   cycle  = s, red path minus its endpoints' duplicates, then the
+  //            blue-stack segment from w up to just below s.
+  Lasso Assemble(int w) {
+    Lasso lasso;
+    lasso.prefix = blue_stack_;
+    const int top = static_cast<int>(blue_stack_.size()) - 1;  // seed s
+    for (size_t i = 0; i < red_.size(); ++i) lasso.cycle.push_back(red_[i].v);
+    const int j = stack_pos_[w];
+    for (int i = j; i < top; ++i) lasso.cycle.push_back(blue_stack_[i]);
+    WSV_COUNT1("automata/lassos_found");
+    return lasso;
+  }
+
+  // Inner (red) DFS from the accepting seed on top of the blue stack.
+  // Returns the closing cyan vertex, -1 if no accepting cycle through
+  // the seed, or an error (cancellation / implicit-graph failure).
+  StatusOr<int> RedDfs(int s) {
+    WSV_ASSIGN_OR_RETURN(const std::vector<int>* s_succs, succ_(s));
+    red_.assign(1, Frame{s, s_succs, 0});
+    while (!red_.empty()) {
+      Frame& f = red_.back();
+      if (f.child < f.succs->size()) {
+        int w = (*f.succs)[f.child++];
+        Ensure(w);
+        if (color_[w] == kCyan) return w;  // cycle back into the blue stack
+        if (color_[w] == kRed) continue;
+        if (Cancelled()) {
+          return Status::Cancelled("emptiness search cancelled");
+        }
+        color_[w] = kRed;
+        WSV_ASSIGN_OR_RETURN(const std::vector<int>* w_succs, succ_(w));
+        red_.push_back(Frame{w, w_succs, 0});
+      } else {
+        red_.pop_back();
+      }
+    }
+    return -1;
+  }
+
+  const std::function<StatusOr<const std::vector<int>*>(int)>& succ_;
+  const std::function<bool(int)>& accepting_;
+  const std::function<bool()>& stop_;
+  NestedDfsStats& st_;
+  uint64_t ops_ = 0;
+
+  std::vector<char> color_;
+  // Position on the blue stack while cyan (-1 otherwise): turns the
+  // cycle-closing lookup at detection time into O(1).
+  std::vector<int> stack_pos_;
+  std::vector<int> blue_stack_;
+  std::vector<Frame> blue_;
+  std::vector<Frame> red_;
+};
+
+}  // namespace
+
 StatusOr<std::optional<Lasso>> FindAcceptingLassoOnTheFly(
     const std::vector<int>& initial,
     const std::function<StatusOr<const std::vector<int>*>(int)>& succ,
     const std::function<bool(int)>& accepting,
     const std::function<bool()>& stop, NestedDfsStats* stats) {
-  // The CVWY implementation moved to automata/search_strategy.cc as the
-  // registered "dfs" strategy; this entry point is the fixed default
-  // policy over the same machinery.
-  SearchOptions options;  // strategy = "dfs"
-  WSV_ASSIGN_OR_RETURN(std::unique_ptr<SearchStrategy> strategy,
-                       MakeSearchStrategy(options));
-  SearchProblem problem;
-  problem.initial = initial;
-  problem.succ = succ;
-  problem.accepting = accepting;
-  problem.stop = stop;
-  SearchStats st;
-  WSV_ASSIGN_OR_RETURN(std::optional<Lasso> lasso,
-                       strategy->FindLasso(problem, &st));
-  if (stats != nullptr) {
-    stats->max_depth = st.max_depth;
-    stats->vertices_visited = st.vertices_visited;
-  }
-  return std::optional<Lasso>(std::move(lasso));
+  WSV_SPAN("automata/emptiness");
+  WSV_TIMER("automata/emptiness_ns");
+  WSV_COUNT1("automata/emptiness_searches");
+  NestedDfsStats local;
+  NestedDfsStats& st = stats != nullptr ? *stats : local;
+  st = NestedDfsStats{};
+  return CvwyRun(succ, accepting, stop, st).Run(initial);
 }
 
 }  // namespace wsv

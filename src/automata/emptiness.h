@@ -27,12 +27,6 @@
 
 namespace wsv {
 
-/// How often cooperative cancellation is polled: every strategy that
-/// searches an implicit graph (automata/search_strategy.h) checks its
-/// `stop` hook once per this many vertex expansions. Shared so the
-/// cancellation-drain latency is uniform across strategies.
-inline constexpr uint64_t kCancellationPollInterval = 64;
-
 /// A witness for non-emptiness: `prefix` leads from an initial vertex to
 /// `cycle.front()`; `cycle` returns to its own front (the edge from
 /// cycle.back() to cycle.front() exists). prefix.back() == cycle.front().
@@ -69,18 +63,14 @@ struct NestedDfsStats {
 ///    abort the search.
 ///  * `accepting(v)` — Büchi acceptance of v.
 ///  * `stop` — optional cooperative cancellation, polled about every
-///    kCancellationPollInterval vertex expansions; returning true
-///    aborts with Status::Cancelled.
+///    64 vertex expansions; returning true aborts with
+///    Status::Cancelled.
 ///
 /// Returns the first accepting lasso in DFS order, or nullopt if the
 /// (reachable part of the) language is empty. The lasso satisfies the
 /// Lasso contract above and its cycle passes through the accepting seed
-/// vertex (cycle.front()).
-///
-/// This is the compatibility entry point for the default policy: it
-/// delegates to the registered "dfs" strategy of
-/// automata/search_strategy.h, which is where the CVWY implementation
-/// (and the heuristic / randomized alternatives) now live.
+/// vertex (cycle.front()). `stats` (may be null) is overwritten with
+/// this run's work accounting.
 StatusOr<std::optional<Lasso>> FindAcceptingLassoOnTheFly(
     const std::vector<int>& initial,
     const std::function<StatusOr<const std::vector<int>*>(int)>& succ,

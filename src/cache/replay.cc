@@ -184,21 +184,6 @@ class LineParser {
   size_t pos_ = 0;
 };
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 StatusOr<std::vector<ReplayJob>> ParseReplayJobs(std::string_view jsonl) {

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/depgraph.h"
 #include "analysis/slice.h"
 #include "automata/emptiness.h"
 #include "automata/ltl_to_buchi.h"
@@ -51,77 +50,6 @@ std::set<Value> LassoDomain(const LassoRun& run, const Instance& database) {
     for (const auto& [name, v] : step.kappa) dom.insert(v);
   }
   return dom;
-}
-
-// Input relations whose chosen tuple nothing in the search can observe:
-// no rule reads the relation, directly or through prev (prev atoms
-// resolve to the base relation, so "no reader in the dependence graph"
-// also means the relation is untracked and absent from successor
-// configurations); no property leaf names it; and neither the property
-// leaves nor any rule body is domain-dependent (a domain-dependent
-// formula ranges over the active domain, which contains every chosen
-// input value). Successor edges differing only in such relations' tuples
-// are commuting interleavings of the same future — the "prune_commuting"
-// option explores one representative (DESIGN.md §11).
-std::set<std::string> ComputeInvisibleInputs(const WebService& service,
-                                             const TemporalProperty& property) {
-  analysis::DepGraph dep = analysis::DepGraph::Build(service);
-  if (!dep.PropertyDomainIndependent(property)) return {};
-  for (const analysis::DepNode& n : dep.nodes()) {
-    if (n.kind == analysis::DepNodeKind::kRule && !n.domain_independent) {
-      return {};
-    }
-  }
-  std::vector<char> in_property(dep.nodes().size(), 0);
-  for (int s : dep.PropertySeeds(property)) {
-    in_property[static_cast<size_t>(s)] = 1;
-  }
-  std::set<std::string> invisible;
-  for (size_t id = 0; id < dep.nodes().size(); ++id) {
-    const analysis::DepNode& n = dep.nodes()[id];
-    if (n.kind != analysis::DepNodeKind::kRelation ||
-        n.symbol_kind != SymbolKind::kInput || in_property[id]) {
-      continue;
-    }
-    std::vector<char> reach = dep.ForwardReach({static_cast<int>(id)});
-    bool unread = true;
-    for (size_t j = 0; j < reach.size() && unread; ++j) {
-      if (reach[j] != 0 && j != id) unread = false;
-    }
-    if (unread) invisible.insert(n.name);
-  }
-  return invisible;
-}
-
-// Everything the product search can observe about one configuration-graph
-// edge when `invisible` input relations are pruned: the target node,
-// error routing, provided constants, and the tuples of every *visible*
-// input relation. Edges sharing a key are interchangeable interleavings.
-std::string EdgeVisibleKey(const ConfigGraph::Edge& edge,
-                           const std::set<std::string>& invisible) {
-  std::string key = std::to_string(edge.to);
-  key += edge.to_error ? "|E|" : "|.|";
-  key += edge.error_reason;
-  for (const auto& [name, value] : edge.inputs.constants()) {
-    key += '|';
-    key += name;
-    key += '=';
-    key += value.name();
-  }
-  for (const auto& [name, rel] : edge.inputs.relations()) {
-    if (invisible.count(name) > 0) continue;
-    key += '|';
-    key += name;
-    key += ':';
-    for (const Tuple& t : rel.tuples()) {
-      for (const Value& v : t) {
-        key += v.name();
-        key += ',';
-      }
-      key += ';';
-    }
-  }
-  return key;
 }
 
 // Hash for vector-valued keys: the FO-leaf memo (projected valuation
@@ -350,21 +278,6 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
   }
 
   check.abort_on_lasso_ = options.abort_on_lasso;
-
-  // Search-strategy plumbing (on-the-fly only: the eager pipeline's SCC
-  // emptiness has no expansion policy to steer). The accepting-distance
-  // table feeds the "directed" evaluator — also built for "portfolio",
-  // whose directed leg shares this context's options. Invisible-input
-  // detection is pure spec analysis, done once per context.
-  check.search_options_ = options.search;
-  if (check.on_the_fly_ &&
-      (options.search.strategy == "directed" ||
-       IsPortfolioSelection(options.search.strategy))) {
-    check.accept_dist_ = automaton->AcceptingDistance();
-  }
-  if (check.on_the_fly_ && options.search.prune_commuting) {
-    check.invisible_inputs_ = ComputeInvisibleInputs(*service, *property);
-  }
 
   // Valuation candidates for the universal closure variables: everything
   // that can occur in a run's active domain — the database, rule and
@@ -929,24 +842,6 @@ LtlDatabaseCheck::CheckValuationsOtf(
   std::vector<char> q_acc(automaton_->size(), 0);
   for (int q : acc_set) q_acc[static_cast<size_t>(q)] = 1;
 
-  // Strategy resolution for this sweep (DESIGN.md §11). Phases whose
-  // verdict depends on *which* lasso is found — the faithfulness-checked
-  // sweep of a property with universal closure variables — pin the
-  // canonical DFS with no pruning, so verdicts stay bit-identical across
-  // strategies. Phases that only need lasso *existence* (ground
-  // properties, where any lasso is already a faithful witness, and the
-  // abort-on-lasso slice probe, which discards the lasso and returns an
-  // index) are free to hunt with whatever strategy was selected.
-  const bool lasso_choice_invariant = vars.empty() || abort_on_lasso_;
-  SearchOptions search_opts = search_options_;
-  if (!lasso_choice_invariant) search_opts.strategy = "dfs";
-  WSV_ASSIGN_OR_RETURN(std::unique_ptr<SearchStrategy> strategy,
-                       MakeSearchStrategy(search_opts));
-  obs::GetCounter(std::string("search/strategy_") + strategy->name())
-      .Increment();
-  const bool prune = search_opts.prune_commuting && lasso_choice_invariant &&
-                     !invisible_inputs_.empty();
-
   std::vector<int32_t> digits(vars.size(), 0);
   std::vector<LeafCol*> leaf_cols(num_leaves, nullptr);
   std::vector<int32_t> memo_key;
@@ -1101,38 +996,6 @@ LtlDatabaseCheck::CheckValuationsOtf(
         }
       };
 
-      // Commuting-input pruning: among a node's out-edges, keep one
-      // representative per visible-observation key (EdgeVisibleKey).
-      // Pruned edges differ only in invisible input relations' tuples,
-      // so they reach the same node with the same leaf labels — every
-      // lasso through a pruned edge maps to one through its
-      // representative. Node-stable map: callers hold pointers into the
-      // mapped vectors. Only consulted after the node is expanded, when
-      // its out-edge list is final.
-      std::unordered_map<int, std::vector<int>> kept_edges;
-      auto out_edges_of = [&](int node) -> const std::vector<int>* {
-        const std::vector<int>& all =
-            graph.out_edges[static_cast<size_t>(node)];
-        if (!prune) return &all;
-        auto it = kept_edges.find(node);
-        if (it != kept_edges.end()) return &it->second;
-        std::vector<int> kept;
-        std::set<std::string> seen_keys;
-        uint64_t dropped = 0;
-        for (int e2 : all) {
-          if (seen_keys
-                  .insert(EdgeVisibleKey(graph.edges[static_cast<size_t>(e2)],
-                                         invisible_inputs_))
-                  .second) {
-            kept.push_back(e2);
-          } else {
-            ++dropped;
-          }
-        }
-        if (dropped > 0) WSV_COUNT("search/pruned_successors", dropped);
-        return &kept_edges.emplace(node, std::move(kept)).first->second;
-      };
-
       auto succ_fn = [&](int v) -> StatusOr<const std::vector<int>*> {
         ensure_slot(static_cast<size_t>(v));
         if (vsucc_done[static_cast<size_t>(v)]) {
@@ -1146,7 +1009,7 @@ LtlDatabaseCheck::CheckValuationsOtf(
         (void)expanded;
         std::vector<int> out;
         const Bitset& q_succ = succ_bits_[q];
-        for (int e2 : *out_edges_of(to)) {
+        for (int e2 : graph.out_edges[static_cast<size_t>(to)]) {
           WSV_ASSIGN_OR_RETURN(const std::vector<int>* m,
                                edge_matching(static_cast<size_t>(e2)));
           for (int q2 : *m) {
@@ -1164,9 +1027,9 @@ LtlDatabaseCheck::CheckValuationsOtf(
       std::vector<int> initial_verts;
       Status search_status = init_or.status();
       std::optional<Lasso> lasso;
-      SearchStats search_stats;
+      NestedDfsStats search_stats;
       if (search_status.ok()) {
-        for (int e : *out_edges_of(lazy.initial())) {
+        for (int e : graph.out_edges[static_cast<size_t>(lazy.initial())]) {
           auto m_or = edge_matching(static_cast<size_t>(e));
           if (!m_or.ok()) {
             search_status = m_or.status();
@@ -1180,24 +1043,13 @@ LtlDatabaseCheck::CheckValuationsOtf(
         }
       }
       if (search_status.ok()) {
-        SearchProblem problem;
-        problem.initial = std::move(initial_verts);
-        problem.succ = succ_fn;
-        problem.accepting = [&](int v) {
-          return q_acc[static_cast<size_t>(
-                     verts[static_cast<size_t>(v)].second)] != 0;
-        };
-        problem.stop = [&]() { return stop && stop(current_index); };
-        if (!accept_dist_.empty()) {
-          // Admissible product heuristic: the automaton component's
-          // distance to the accepting set lower-bounds any run's
-          // remaining steps; kInfiniteDistance states prune.
-          problem.evaluate = [&](int v) {
-            return accept_dist_[static_cast<size_t>(
-                verts[static_cast<size_t>(v)].second)];
-          };
-        }
-        auto lasso_or = strategy->FindLasso(problem, &search_stats);
+        auto lasso_or = FindAcceptingLassoOnTheFly(
+            initial_verts, succ_fn,
+            [&](int v) {
+              return q_acc[static_cast<size_t>(
+                         verts[static_cast<size_t>(v)].second)] != 0;
+            },
+            [&]() { return stop && stop(current_index); }, &search_stats);
         if (lasso_or.ok()) {
           lasso = std::move(*lasso_or);
         } else {
@@ -1218,9 +1070,6 @@ LtlDatabaseCheck::CheckValuationsOtf(
       WSV_COUNT("ltl/otf_states_created", nv);
       WSV_HIST("ltl/peak_product_states", nv);
       WSV_HIST("ltl/otf_dfs_depth", search_stats.max_depth);
-      if (search_stats.heuristic_evals > 0) {
-        WSV_COUNT("search/heuristic_evals", search_stats.heuristic_evals);
-      }
 
       if (lasso.has_value()) {
         WSV_COUNT1("ltl/otf_early_exits");

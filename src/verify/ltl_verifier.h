@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "automata/buchi.h"
-#include "automata/search_strategy.h"
 #include "common/bitset.h"
 #include "common/status.h"
 #include "ltl/run_semantics.h"
@@ -84,17 +83,6 @@ struct LtlVerifyOptions {
   /// slicing-invariant; faithfulness is not, so the marker index is
   /// where the full-spec re-check resumes.
   bool abort_on_lasso = false;
-  /// Accepting-lasso search strategy for the on-the-fly sweep
-  /// (automata/search_strategy.h): "dfs" (default), "directed",
-  /// "restart", or the engine-level "portfolio" (resolved by
-  /// verify/parallel.cc; serial sweeps run its dfs leg). Non-default
-  /// strategies run only in phases whose verdict is provably
-  /// lasso-choice-invariant — abort-on-lasso probes and properties
-  /// without universal closure variables; the faithfulness-sensitive
-  /// canonical sweep of a quantified property pins the canonical DFS
-  /// lasso so verdicts stay bit-identical across strategies (DESIGN.md
-  /// §11). The eager pipeline ignores the strategy entirely.
-  SearchOptions search;
   /// Optional cross-request persistence for FO-leaf truth columns
   /// (verify/leaf_store.h; the verification cache's disk tier plugs in
   /// here). Null disables persistence. Verdicts and witnesses are
@@ -286,23 +274,6 @@ class LtlDatabaseCheck {
   /// lasso_only marker at the first accepting lasso instead of running
   /// the faithfulness check.
   bool abort_on_lasso_ = false;
-  /// Copied from LtlVerifyOptions::search; dispatched per class search
-  /// in CheckValuationsOtf.
-  SearchOptions search_options_;
-  /// Per automaton state: distance to the accepting set
-  /// (BuchiAutomaton::AcceptingDistance), the "directed" strategy's
-  /// evaluator. Built at Create only when a heuristic strategy is
-  /// selected; empty otherwise.
-  std::vector<int> accept_dist_;
-  /// Input relations whose chosen tuples provably cannot influence
-  /// anything the search observes: no rule reads them (directly or via
-  /// prev), no property leaf names them, and both the property's leaves
-  /// and every rule body are domain-independent. Successor edges that
-  /// differ only in these relations' tuples are commuting interleavings
-  /// — one representative is explored, the rest are pruned
-  /// (search/pruned_successors). Populated only when
-  /// search_options_.prune_commuting is set.
-  std::set<std::string> invisible_inputs_;
   LeafColumnStore* leaf_store_ = nullptr;
   std::string leaf_ctx_;
   /// Per leaf: hex structural fingerprint — the leaf component of store

@@ -26,16 +26,6 @@
 // tasks poll the best-event index — both per expanded configuration-graph
 // node (ConfigGraphOptions::cancel_check) and per valuation
 // (LtlDatabaseCheck::CheckValuations's stop predicate).
-//
-// Search strategies (LtlVerifyOptions::search): every shard runs the
-// selected strategy through its shared LtlDatabaseCheck context. The
-// "portfolio" selection is resolved by VerifyOnDatabase as a race of a
-// dfs leg against a directed leg over the same valuation index space —
-// first event at the lowest index wins and cancels both legs (so the
-// verdict and witness valuation match the serial dfs sweep exactly; the
-// witness run may come from either leg and always revalidates). Verify
-// (the multi-database sweep) and jobs == 1 delegation resolve
-// "portfolio" to its deterministic dfs leg.
 
 #ifndef WSV_VERIFY_PARALLEL_H_
 #define WSV_VERIFY_PARALLEL_H_

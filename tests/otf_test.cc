@@ -5,7 +5,9 @@
 // (full configuration graph + full product + SCC emptiness) is the
 // oracle it is checked against, per property:
 //   - identical verdicts on the gallery services and on seeded random
-//     formulas,
+//     formulas over the login, paper clear-loop and catalog-search
+//     services, where the jobs=2 sharded engine must also reproduce the
+//     serial witness byte for byte,
 //   - every VIOLATED verdict yields a witness that survives the
 //     standalone replay validator,
 //   - lowest-valuation-index witness selection is deterministic, and
@@ -16,6 +18,7 @@
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
@@ -67,6 +70,76 @@ void ExpectEquivalent(const WebService& service,
   EXPECT_TRUE(eager_witness.ok()) << what << ": " << eager_witness.ToString();
 }
 
+// ExpectEquivalent, plus the sharded engine at jobs=2 (where chunks
+// race and cancel each other) against the serial on-the-fly run:
+// verdict, completeness and witness text must be identical.
+void ExpectEnginesAgree(const WebService& service,
+                        const TemporalProperty& property, const Instance& db,
+                        const LtlVerifyOptions& options,
+                        const std::string& what) {
+  ExpectEquivalent(service, property, db, options, what);
+  auto r_serial = LtlVerifier(&service, options).VerifyOnDatabase(property, db);
+  ParallelLtlVerifier parallel(&service, options, /*jobs=*/2);
+  auto r_parallel = parallel.VerifyOnDatabase(property, db);
+  ASSERT_EQ(r_serial.ok(), r_parallel.ok())
+      << what << ": serial=" << r_serial.status().ToString()
+      << " jobs=2=" << r_parallel.status().ToString();
+  if (!r_serial.ok()) return;
+  EXPECT_EQ(r_parallel->holds, r_serial->holds) << what;
+  EXPECT_EQ(r_parallel->complete_within_bounds,
+            r_serial->complete_within_bounds)
+      << what;
+  ASSERT_EQ(r_parallel->counterexample.has_value(),
+            r_serial->counterexample.has_value())
+      << what;
+  if (!r_serial->counterexample.has_value()) return;
+  EXPECT_EQ(r_parallel->counterexample->ToString(),
+            r_serial->counterexample->ToString())
+      << what;
+}
+
+// Seeded formula fuzzing (no wall-clock APIs, so a failing formula
+// reproduces from its seed): the eager, serial on-the-fly and jobs=2
+// engines must agree on `count` random formulas of depth <= 3 over
+// `atoms`, and every violation witness must replay.
+void FuzzService(const WebService& service, const Instance& db,
+                 const LtlVerifyOptions& options, uint32_t seed, int count,
+                 const std::vector<const char*>& atoms) {
+  std::mt19937 rng(seed);
+  auto pick = [&rng](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  // NOLINTNEXTLINE(misc-no-recursion)
+  auto gen = [&](auto&& self, int depth) -> std::string {
+    if (depth == 0 || pick(4) == 0) {
+      return atoms[static_cast<size_t>(pick(static_cast<int>(atoms.size())))];
+    }
+    switch (pick(6)) {
+      case 0:
+        return "!(" + self(self, depth - 1) + ")";
+      case 1:
+        return "G(" + self(self, depth - 1) + ")";
+      case 2:
+        return "F(" + self(self, depth - 1) + ")";
+      case 3:
+        return "X(" + self(self, depth - 1) + ")";
+      case 4:
+        return "(" + self(self, depth - 1) + " & " + self(self, depth - 1) +
+               ")";
+      default:
+        return "(" + self(self, depth - 1) + " | " + self(self, depth - 1) +
+               ")";
+    }
+  };
+  for (int i = 0; i < count; ++i) {
+    const std::string formula = gen(gen, 3);
+    SCOPED_TRACE("seed formula #" + std::to_string(i) + ": " + formula);
+    auto p = ParseTemporalProperty(formula, &service.vocab());
+    ASSERT_TRUE(p.ok()) << formula << ": " << p.status().ToString();
+    ExpectEnginesAgree(service, *p, db, options, formula);
+  }
+}
+
 class LoginOtfTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -100,40 +173,10 @@ TEST_F(LoginOtfTest, GalleryPropertiesAgree) {
 }
 
 TEST_F(LoginOtfTest, SeededRandomFormulasAgree) {
-  // Seeded formula fuzzing (no wall-clock APIs): both pipelines must
-  // agree on every generated formula, and every violation witness must
-  // replay. Atoms cover pages, a state proposition, and an FO leaf.
-  std::mt19937 rng(20260806u);
-  auto pick = [&rng](int n) {
-    return std::uniform_int_distribution<int>(0, n - 1)(rng);
-  };
-  const char* atoms[] = {"HP",  "MP",        "CP",
-                         "BYE", "logged_in", "error(\"failed login\")"};
-  // NOLINTNEXTLINE(misc-no-recursion)
-  auto gen = [&](auto&& self, int depth) -> std::string {
-    if (depth == 0 || pick(4) == 0) return atoms[pick(6)];
-    switch (pick(6)) {
-      case 0:
-        return "!(" + self(self, depth - 1) + ")";
-      case 1:
-        return "G(" + self(self, depth - 1) + ")";
-      case 2:
-        return "F(" + self(self, depth - 1) + ")";
-      case 3:
-        return "X(" + self(self, depth - 1) + ")";
-      case 4:
-        return "(" + self(self, depth - 1) + " & " + self(self, depth - 1) +
-               ")";
-      default:
-        return "(" + self(self, depth - 1) + " | " + self(self, depth - 1) +
-               ")";
-    }
-  };
-  for (int i = 0; i < 40; ++i) {
-    const std::string formula = gen(gen, 3);
-    SCOPED_TRACE("seed formula #" + std::to_string(i) + ": " + formula);
-    CheckProperty(formula);
-  }
+  // Atoms cover pages, a state proposition, and an FO leaf.
+  FuzzService(service_, db_, options_, 20260806u, 40,
+              {"HP", "MP", "CP", "BYE", "logged_in",
+               "error(\"failed login\")"});
 }
 
 TEST_F(LoginOtfTest, OnTheFlyWitnessIsDeterministic) {
@@ -198,6 +241,37 @@ TEST_F(LoginOtfTest, ParallelJobsAgreeWithSerial) {
   EXPECT_EQ(cex1, cex4);
 }
 
+// --- the lasso search fuzzed over more gallery services -----------------
+
+TEST(StrategyFuzz, LoginRandomFormulasAgree) {
+  // A second login seed, independent of LoginOtfTest's.
+  auto ws = BuildLoginService();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  LtlVerifyOptions options;
+  options.graph.constant_pool = {V("alice"), V("pw"), V("u0")};
+  FuzzService(*ws, LoginDatabase(), options, 20260809u, 20,
+              {"HP", "MP", "CP", "BYE", "logged_in",
+               "error(\"failed login\")"});
+}
+
+TEST(StrategyFuzz, PaperClearLoopRandomFormulasAgree) {
+  auto ws = BuildPaperClearLoopService();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  LtlVerifyOptions options;
+  options.graph.constant_pool = {V("alice"), V("pw"), V("u0")};
+  FuzzService(*ws, LoginDatabase(), options, 20260810u, 10,
+              {"HP", "MP", "CP", "logged_in", "error(\"failed login\")"});
+}
+
+TEST(StrategyFuzz, CatalogSearchRandomFormulasAgree) {
+  auto ws = BuildInputDrivenSearchService(CatalogSearchSpec());
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  LtlVerifyOptions options;
+  options.require_input_bounded = false;
+  FuzzService(*ws, CatalogSearchDatabase(), options, 20260811u, 10,
+              {"Browse", "ERR", "new_sel", "I(\"products\")", "I(\"d1\")"});
+}
+
 // --- the paper's running example -------------------------------------
 
 class EcommerceOtfTest : public ::testing::Test {
@@ -238,6 +312,33 @@ TEST_F(EcommerceOtfTest, Property4HoldsIdentically) {
       &service_.vocab());
   ASSERT_TRUE(p.ok()) << p.status().ToString();
   ExpectEquivalent(service_, *p, db_, options, "property 4");
+}
+
+// Two anchors (also checked pairwise above) across all three engines:
+// eager, serial on-the-fly and jobs=2, with witness replay.
+
+TEST(StrategyEcommerce, Property1AgreesAcrossStrategies) {
+  auto ws = BuildEcommerceService();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  LtlVerifyOptions options;
+  options.graph.constant_pool = {V("alice"), V("pw")};
+  options.require_input_bounded = false;
+  auto p = ParseTemporalProperty("G(!PIP) | F(PIP & F(CC))", &ws->vocab());
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  ExpectEnginesAgree(*ws, *p, EcommerceSmallDatabase(), options,
+                     "ecommerce property 1");
+}
+
+TEST(StrategyEcommerce, QuantifiedClosureAgreesAcrossStrategies) {
+  // A universal closure: the witness valuation is the lowest violating
+  // index, whichever engine sweeps the valuations.
+  auto ws = BuildLoginService();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  LtlVerifyOptions options;
+  options.graph.constant_pool = {V("alice"), V("pw"), V("u0")};
+  auto p = ParseTemporalProperty("forall m . G(!error(m))", &ws->vocab());
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  ExpectEnginesAgree(*ws, *p, LoginDatabase(), options, "login quantified");
 }
 
 // --- witness validator negatives --------------------------------------

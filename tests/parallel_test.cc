@@ -160,11 +160,17 @@ TEST_F(ParallelLoginTest, ViolatedPropertyAgreesOnWitness) {
 
 TEST_F(ParallelLoginTest, UniversalClosureAgreesOnValuation) {
   // The valuation sweep is what gets chunked across workers; the
-  // lowest-index witness must still win.
+  // lowest-index witness must still win. The sliced probe's first
+  // marker cancels the other chunks, so under TSan (this suite carries
+  // the tsan label) this also checks the early-exit drain for races.
   LtlVerifyResult r = CheckBothOnDb("forall m . G(!error(m))");
   ASSERT_FALSE(r.holds);
   ASSERT_TRUE(r.counterexample.has_value());
   EXPECT_EQ(r.counterexample->valuation.at("m"), V("failed login"));
+  auto p = ParseTemporalProperty("forall m . G(!error(m))", &service_.vocab());
+  ASSERT_TRUE(p.ok());
+  Status witness = ValidateWitness(service_, *p, *r.counterexample);
+  EXPECT_TRUE(witness.ok()) << witness.ToString();
 }
 
 TEST_F(ParallelLoginTest, EventualityViolationAgrees) {

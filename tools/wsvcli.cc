@@ -61,15 +61,6 @@
 //       spec directly instead of probing the reduced one first. Verdict
 //       and witness are identical either way; the flag exists for A/B
 //       runs and debugging. WSV_DISABLE_SLICE=1 is the env equivalent.
-//       --search NAME picks the accepting-lasso search strategy
-//       (automata/search_strategy.h): dfs (default, the CVWY nested
-//       DFS), directed (greedy best-first on the Büchi accepting-
-//       distance heuristic), restart (seeded random-restart DFS;
-//       --search-seed N replays a recorded run), or portfolio (the
-//       parallel engine races dfs and directed, first finisher wins).
-//       --search-prune skips commuting interleavings of provably
-//       unobserved inputs. Verdicts are identical under every strategy;
-//       see DESIGN.md §11.
 //   wsvcli deps <spec.wsv> [--property P] [--format=dot|json]
 //       Dump the whole-spec dependence graph (src/analysis/depgraph.h):
 //       relations, constants, and rules as nodes, reads-edges between
@@ -161,8 +152,6 @@ int Usage() {
       "[--stats] [--stats-json FILE] [--trace-out FILE] [--progress] "
       "[--log-json FILE] [--heartbeat SECS] [--watchdog-deadline SECS] "
       "[--step-budget N] [--cache-dir DIR] [--label NAME] [--no-slice]\n"
-      "      [--search dfs|directed|restart|portfolio] [--search-seed N] "
-      "[--search-prune]\n"
       "  wsvcli deps <spec.wsv> [--property P] [--format=dot|json]\n"
       "  wsvcli replay <jobs.jsonl> [--cache-dir DIR] [--jobs N] "
       "[--eager] [--quiet] [--bench-json FILE] [--stats] "
@@ -233,14 +222,6 @@ struct Flags {
   bool no_slice = false;
   /// Deps: property whose cone of influence to highlight; empty = none.
   std::string property;
-  /// Verify: accepting-lasso search strategy ("dfs", "directed",
-  /// "restart", "portfolio"); empty = the verifier default (dfs).
-  std::string search;
-  /// Verify: base RNG seed for --search restart (0 = keep the recorded
-  /// default, so runs replay deterministically).
-  uint64_t search_seed = 0;
-  /// Verify: enable commuting-input successor pruning.
-  bool search_prune = false;
 };
 
 StatusOr<Flags> ParseFlags(int argc, char** argv) {
@@ -302,15 +283,6 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       flags.werror = true;
     } else if (arg == "--no-slice") {
       flags.no_slice = true;
-    } else if (arg == "--search") {
-      WSV_ASSIGN_OR_RETURN(flags.search, next());
-    } else if (StartsWith(arg, "--search=")) {
-      flags.search = arg.substr(std::strlen("--search="));
-    } else if (arg == "--search-seed") {
-      WSV_ASSIGN_OR_RETURN(std::string v, next());
-      flags.search_seed = static_cast<uint64_t>(std::atoll(v.c_str()));
-    } else if (arg == "--search-prune") {
-      flags.search_prune = true;
     } else if (arg == "--property") {
       WSV_ASSIGN_OR_RETURN(flags.property, next());
     } else if (arg == "--format") {
@@ -603,9 +575,6 @@ int CmdVerify(const Flags& flags) {
   options.db.fresh_values = flags.fresh;
   options.require_input_bounded = !flags.unchecked;
   options.force_eager = flags.eager;
-  if (!flags.search.empty()) options.search.strategy = flags.search;
-  if (flags.search_seed != 0) options.search.restart_seed = flags.search_seed;
-  options.search.prune_commuting = flags.search_prune;
 
   std::optional<Instance> db;
   if (flags.positional.size() >= 3) {
