@@ -48,6 +48,7 @@ void MergeObsCounters(benchmark::State& state) {
   put("obs_products_skipped", "ltl/products_skipped");
   put("obs_leaf_memo_hits", "ltl/leaf_memo_hits");
   put("obs_leaf_memo_misses", "ltl/leaf_memo_misses");
+  put("obs_fo_leaf_evals", "ltl/fo_leaf_evals");
   put("obs_otf_states_created", "ltl/otf_states_created");
   put("obs_otf_early_exits", "ltl/otf_early_exits");
   put("obs_bytecode_compiles", "fo/bytecode_compiles");
@@ -206,8 +207,10 @@ BENCHMARK(BM_DeepLasso_Dfs)->Unit(benchmark::kMillisecond);
 // Property 4 holds, so slicing pays off in full: the sliced graph alone
 // proves the absence of accepting lassos and the unsliced product is
 // never built. The _NoSlice row is the A/B baseline for the guard's
-// cone-reduction compare rules.
-void RunProperty4(benchmark::State& state, bool eager, bool slice = true) {
+// cone-reduction compare rules. The rows restrict the closure to three
+// candidates (9 valuations) unless `all_candidates` is set.
+void RunProperty4(benchmark::State& state, bool eager, bool slice = true,
+                  bool all_candidates = false) {
   std::optional<analysis::ScopedDisableSlice> no_slice;
   if (!slice) no_slice.emplace();
   WebService service = std::move(BuildEcommerceService()).value();
@@ -215,7 +218,9 @@ void RunProperty4(benchmark::State& state, bool eager, bool slice = true) {
   LtlVerifyOptions options;
   options.graph.constant_pool = {V("alice"), V("pw")};
   options.require_input_bounded = false;
-  options.closure_candidates = {V("p1"), V("100"), V("alice")};
+  if (!all_candidates) {
+    options.closure_candidates = {V("p1"), V("100"), V("alice")};
+  }
   options.force_eager = eager;
   LtlVerifier verifier(&service, options);
   auto prop = ParseTemporalProperty(
@@ -253,6 +258,17 @@ void BM_Property4_PayBeforeShip_NoSlice(benchmark::State& state) {
   RunProperty4(state, /*eager=*/false, /*slice=*/false);
 }
 BENCHMARK(BM_Property4_PayBeforeShip_NoSlice)->Unit(benchmark::kMillisecond);
+
+// P4 as `wsvcli verify` runs it by default: serial, on-the-fly, sliced,
+// and no closure_candidates restriction, so the sweep covers all 1296
+// valuations of the 36-value candidate pool. Its budgets pin
+// set-at-a-time leaf evaluation: one leaf query per (leaf, edge), where
+// evaluating per valuation would take 1296 times as many.
+void BM_Property4_CliDefaults(benchmark::State& state) {
+  RunProperty4(state, /*eager=*/false, /*slice=*/true,
+               /*all_candidates=*/true);
+}
+BENCHMARK(BM_Property4_CliDefaults)->Unit(benchmark::kMillisecond);
 
 // --- E2b: the parallel engine, /jobs:1 vs /jobs:N. ---------------------
 //

@@ -18,50 +18,90 @@ std::string LassoRun::ToString() const {
   return out;
 }
 
-StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceView& step,
-                            const Instance& database,
-                            const WebService& service,
-                            const Valuation& valuation) {
-  WSV_TIMER("ltl/leaf_eval_ns");
-  // The compiled program carries the leaf's constant-symbol and literal
-  // analyses, so the hot path re-derives neither.
-  std::shared_ptr<const fobc::Program> prog;
-  if (fobc::BytecodeEnabled()) prog = fobc::GetOrCompileBool(leaf);
+namespace {
+
+// Builds the structure a leaf is evaluated against at one trace step:
+// the step's inputs, state and actions, the page propositions (V_i true,
+// all other pages false; owned by `pages`), the database, Prev_I, the
+// kappa_i constants and the leaf's literals. Returns false when
+// condition (a) fails: an input constant of the leaf is not yet in
+// kappa_i, which makes the leaf false at this step. The compiled
+// program (when there is one) carries the leaf's constant-symbol and
+// literal analyses, so the hot path re-derives neither.
+bool BuildStepContext(const fobc::Program* prog, const Formula& leaf,
+                      const TraceView& step, const Instance& database,
+                      const WebService& service, Instance* pages,
+                      EvalContext* ctx) {
   std::set<std::string> csyms_fallback;
   std::set<Value> lits_fallback;
   if (prog == nullptr) {
-    csyms_fallback = leaf->ConstantSymbols();
-    lits_fallback = leaf->Literals();
+    csyms_fallback = leaf.ConstantSymbols();
+    lits_fallback = leaf.Literals();
   }
   const std::set<std::string>& csyms =
       prog != nullptr ? prog->constant_symbols : csyms_fallback;
   const std::set<Value>& lits =
       prog != nullptr ? prog->literals : lits_fallback;
-  // Condition (a): input constants of the sentence must be in kappa_i.
   for (const std::string& c : csyms) {
     if (service.vocab().IsInputConstant(c) && step.kappa->count(c) == 0) {
       return false;
     }
   }
-  // Page propositions: the current page is true, all others false.
-  Instance pages;
   for (const RelationSymbol& sym :
        service.vocab().RelationsOfKind(SymbolKind::kPage)) {
-    (void)pages.EnsureRelation(sym.name, 0);
-    pages.MutableRelation(sym.name)->SetBool(sym.name == *step.page);
+    (void)pages->EnsureRelation(sym.name, 0);
+    pages->MutableRelation(sym.name)->SetBool(sym.name == *step.page);
   }
+  ctx->AddLayer(step.inputs);
+  ctx->AddLayer(step.state);
+  ctx->AddLayer(step.actions);
+  ctx->AddLayer(pages);
+  ctx->AddLayer(&database);
+  ctx->SetPrevLayer(step.prev_inputs);
+  for (const auto& [name, v] : *step.kappa) ctx->SetConstant(name, v);
+  for (Value v : lits) ctx->AddDomainValue(v);
+  return true;
+}
+
+}  // namespace
+
+StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceView& step,
+                            const Instance& database,
+                            const WebService& service,
+                            const Valuation& valuation) {
+  WSV_TIMER("ltl/leaf_eval_ns");
+  std::shared_ptr<const fobc::Program> prog;
+  if (fobc::BytecodeEnabled()) prog = fobc::GetOrCompileBool(leaf);
+  Instance pages;
   EvalContext ctx;
-  ctx.AddLayer(step.inputs);
-  ctx.AddLayer(step.state);
-  ctx.AddLayer(step.actions);
-  ctx.AddLayer(&pages);
-  ctx.AddLayer(&database);
-  ctx.SetPrevLayer(step.prev_inputs);
-  for (const auto& [name, v] : *step.kappa) ctx.SetConstant(name, v);
-  for (Value v : lits) ctx.AddDomainValue(v);
+  if (!BuildStepContext(prog.get(), *leaf, step, database, service, &pages,
+                        &ctx)) {
+    return false;
+  }
   for (const auto& [var, v] : valuation) ctx.AddDomainValue(v);
   if (prog != nullptr) return fobc::Execute(*prog, ctx, valuation);
   return Evaluate(*leaf, ctx, valuation);
+}
+
+StatusOr<std::optional<std::set<Tuple>>> EvalFoQueryAtStep(
+    const FormulaPtr& leaf, const std::vector<std::string>& heads,
+    const TraceView& step, const Instance& database,
+    const WebService& service, const std::vector<Value>& extra_domain) {
+  WSV_TIMER("ltl/leaf_eval_ns");
+  std::shared_ptr<const fobc::Program> prog;
+  if (fobc::BytecodeEnabled()) prog = fobc::GetOrCompileQuery(leaf, heads);
+  Instance pages;
+  EvalContext ctx;
+  if (!BuildStepContext(prog.get(), *leaf, step, database, service, &pages,
+                        &ctx)) {
+    return std::optional<std::set<Tuple>>();
+  }
+  for (Value v : extra_domain) ctx.AddDomainValue(v);
+  StatusOr<std::set<Tuple>> rows = prog != nullptr
+                                       ? fobc::ExecuteQuery(*prog, ctx)
+                                       : EvaluateQuery(*leaf, heads, ctx);
+  if (!rows.ok()) return rows.status();
+  return std::optional<std::set<Tuple>>(std::move(rows).value());
 }
 
 StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceStep& step,

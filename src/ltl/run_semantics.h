@@ -13,6 +13,9 @@
 #ifndef WSV_LTL_RUN_SEMANTICS_H_
 #define WSV_LTL_RUN_SEMANTICS_H_
 
+#include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -55,6 +58,22 @@ StatusOr<bool> EvalFoAtStep(const FormulaPtr& leaf, const TraceView& step,
                             const Instance& database,
                             const WebService& service,
                             const Valuation& valuation);
+
+/// Evaluates one FO leaf at one trace step as a query whose head is
+/// `heads` (closure variables free in the leaf, none bound): the set of
+/// head tuples under which the leaf holds, each in `heads` order. The
+/// structure is EvalFoAtStep's, with `extra_domain` in place of the
+/// valuation's values in the active domain: a valuation whose values
+/// lie in the resulting domain, and whose own values would extend
+/// EvalFoAtStep's domain to that same set (always so for a quantifier-
+/// free leaf), satisfies the leaf iff its projection onto `heads` is in
+/// the answer. nullopt when condition (a) fails: the leaf is then false
+/// under every binding. The set-at-a-time counterpart of EvalFoAtStep —
+/// one call answers every valuation at once.
+StatusOr<std::optional<std::set<Tuple>>> EvalFoQueryAtStep(
+    const FormulaPtr& leaf, const std::vector<std::string>& heads,
+    const TraceView& step, const Instance& database,
+    const WebService& service, const std::vector<Value>& extra_domain);
 
 /// Evaluates an LTL-FO property on a lasso run: true iff the run
 /// satisfies the universal closure, with the closure variables ranging

@@ -251,6 +251,9 @@ StatusOr<bool> LazyConfigGraph::EnsureExpanded(int v) {
     MarkTruncated();
     return false;
   }
+  // One span per node the on-the-fly search steps, so stepper time shows
+  // up by name instead of inside its caller's inclusive time.
+  WSV_SPAN("verify/expand");
   WSV_RETURN_IF_ERROR(ExpandNode(v));
   return true;
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <deque>
+#include <map>
+#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -13,6 +15,7 @@
 #include "common/fingerprint.h"
 #include "common/hash.h"
 #include "fo/input_bounded.h"
+#include "fo/rewrite.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "verify/leaf_store.h"
@@ -125,7 +128,246 @@ std::string LeafBinding(const std::vector<size_t>& leaf_vars,
   return b;
 }
 
+// True iff the query enumerator (fo/evaluator.cc, mirrored by the
+// bytecode VM) binds every head variable of `f` by scanning a relation:
+// per disjunct, the positive atom conjuncts mention all heads. Otherwise
+// some head is enumerated over the whole active domain.
+bool ScansAllHeads(const Formula& f, const std::vector<std::string>& heads) {
+  if (f.kind() == Formula::Kind::kOr) {
+    for (const FormulaPtr& c : f.children()) {
+      if (!ScansAllHeads(*c, heads)) return false;
+    }
+    return true;
+  }
+  std::vector<const Formula*> conjuncts;
+  std::vector<const Formula*> todo = {&f};
+  while (!todo.empty()) {
+    const Formula* g = todo.back();
+    todo.pop_back();
+    if (g->kind() == Formula::Kind::kAnd) {
+      for (const FormulaPtr& c : g->children()) todo.push_back(c.get());
+    } else {
+      conjuncts.push_back(g);
+    }
+  }
+  std::set<std::string> scanned;
+  for (const Formula* c : conjuncts) {
+    if (c->kind() != Formula::Kind::kAtom) continue;
+    for (const Term& t : c->atom().terms) {
+      if (t.is_variable()) scanned.insert(t.name());
+    }
+  }
+  for (const std::string& h : heads) {
+    if (scanned.count(h) == 0) return false;
+  }
+  return true;
+}
+
+// What a leaf's answer table queries: the leaf itself, or — when the
+// leaf does not bind every head by a relation scan but the negation
+// normal form of its negation does — that negation, with the answers
+// complemented.
+struct LeafQuery {
+  FormulaPtr formula;
+  bool complement = false;
+};
+
+// The leaf's query, interned by structure for the process: requests
+// rebuild their automata (and so their leaf objects), and a structurally
+// equal leaf maps to the same query object, whose compiled program is
+// then found by address instead of adding one more pinned alias to the
+// program cache per request.
+LeafQuery InternLeafQuery(const FormulaPtr& leaf,
+                          const std::vector<std::string>& heads) {
+  struct Entry {
+    FormulaPtr exemplar;
+    std::vector<std::string> heads;
+    LeafQuery query;
+  };
+  static std::mutex mu;
+  static std::unordered_map<std::string, std::vector<Entry>> interned;
+  const std::string key = FingerprintFormula(*leaf).ToHex();
+  std::lock_guard<std::mutex> lock(mu);
+  std::vector<Entry>& bucket = interned[key];
+  for (const Entry& e : bucket) {
+    if (e.heads == heads && StructurallyEqual(*e.exemplar, *leaf)) {
+      return e.query;
+    }
+  }
+  LeafQuery query{leaf, false};
+  if (!ScansAllHeads(*leaf, heads)) {
+    FormulaPtr negated = ToNNF(*Formula::Not(leaf));
+    if (ScansAllHeads(*negated, heads)) query = {std::move(negated), true};
+  }
+  bucket.push_back({leaf, heads, query});
+  return query;
+}
+
 }  // namespace
+
+// Per-leaf answer tables: the set-at-a-time form of leaf evaluation
+// (DESIGN.md §6d). Rather than evaluating a leaf once per (valuation,
+// edge), a table runs the leaf once per edge as a query whose head is
+// the leaf's closure variables; a binding's column bit at that edge is
+// membership of its projection in the answer. Answers are stored as
+// sorted projection codes (canonical candidate digits read as a
+// base-|cand| number; answer values that are no candidate can match no
+// binding and are dropped). Tables fill lazily up to the edge prefix a
+// column asks for, so the on-the-fly sweep queries only edges its
+// searches reached. Like all sweep state, an instance is local to one
+// call.
+class LtlDatabaseCheck::LeafAnswers {
+ public:
+  /// One edge's answer: a binding holds iff its code's membership in
+  /// `codes` differs from `complement`.
+  struct EdgeAnswer {
+    bool complement = false;
+    std::vector<uint64_t> codes;  // sorted
+  };
+  struct Table {
+    size_t leaf = 0;
+    /// Added to every query's active domain (see TableFor).
+    std::vector<Value> extra_domain;
+    /// Per queried edge.
+    std::vector<EdgeAnswer> answers;
+  };
+
+  LeafAnswers(const LtlDatabaseCheck& check, const ConfigGraph& graph)
+      : check_(check), graph_(graph), tables_(check.leaf_vars_.size()) {
+    const std::vector<std::string>& vars = check.property_->universal_vars;
+    heads_.resize(check.leaf_vars_.size());
+    for (size_t k = 0; k < heads_.size(); ++k) {
+      for (size_t p : check.leaf_vars_[k]) heads_[k].push_back(vars[p]);
+    }
+    canon_.resize(check.cand_.size());
+    for (size_t d = 0; d < check.cand_.size(); ++d) {
+      auto [it, inserted] = digit_of_.emplace(check.cand_[d].id(),
+                                              static_cast<int32_t>(d));
+      canon_[d] = it->second;
+    }
+  }
+
+  /// The table serving leaf k's bindings with memo key `memo_key`
+  /// (LeafMemoKey; empty for a static leaf). Its domain rule is what
+  /// keeps membership exact:
+  ///  - static leaves add nothing, exactly as they were always
+  ///    evaluated under the empty valuation;
+  ///  - a quantifier-free leaf never reads the active domain, so its
+  ///    one table adds every candidate — every projection is then
+  ///    enumerable, negated and unguarded heads included;
+  ///  - a quantified leaf gets one table per extension set (the key's
+  ///    tail), adding exactly those values: the domain a per-valuation
+  ///    evaluation builds for every valuation sharing that set.
+  Table* TableFor(size_t k, const std::vector<int32_t>& memo_key) {
+    std::vector<int32_t> ext;
+    if (!check_.leaf_qfree_[k] && !memo_key.empty()) {
+      auto sep = std::find(memo_key.begin(), memo_key.end(), -1);
+      ext.assign(sep + 1, memo_key.end());
+    }
+    auto [it, inserted] = tables_[k].try_emplace(std::move(ext));
+    Table& t = it->second;
+    if (inserted) {
+      t.leaf = k;
+      if (check_.leaf_qfree_[k] && !check_.leaf_vars_[k].empty()) {
+        t.extra_domain = check_.cand_;
+      }
+      for (int32_t d : it->first) {
+        t.extra_domain.push_back(check_.cand_[static_cast<size_t>(d)]);
+      }
+    }
+    return &t;
+  }
+
+  /// The projection code of valuation `digits` onto leaf k's variables.
+  uint64_t Code(size_t k, const std::vector<int32_t>& digits) const {
+    uint64_t code = 0;
+    uint64_t place = 1;
+    for (size_t p : check_.leaf_vars_[k]) {
+      code += static_cast<uint64_t>(canon_[static_cast<size_t>(digits[p])]) *
+              place;
+      place *= check_.cand_.size();
+    }
+    return code;
+  }
+
+  /// Sets bits [from, n) of `bits` (size >= n) to the truth of the
+  /// binding with projection `code`, querying edges below n first.
+  Status Extend(Table* t, uint64_t code, size_t from, size_t n,
+                Bitset* bits) {
+    const size_t filled = t->answers.size();
+    for (size_t e = filled; e < n; ++e) {
+      WSV_ASSIGN_OR_RETURN(
+          std::optional<std::set<Tuple>> rows,
+          EvalFoQueryAtStep(check_.leaf_query_[t->leaf], heads_[t->leaf],
+                            graph_.View(static_cast<int>(e)),
+                            *check_.database_, *check_.service_,
+                            t->extra_domain));
+      EdgeAnswer& answer = t->answers.emplace_back();
+      // Condition (a) failed: false under every binding, complement or
+      // not.
+      if (!rows.has_value()) continue;
+      answer.complement = check_.leaf_complement_[t->leaf] != 0;
+      answer.codes.reserve(rows->size());
+      for (const Tuple& row : *rows) {
+        uint64_t c = 0;
+        uint64_t place = 1;
+        bool known = true;
+        for (Value v : row) {
+          auto it = digit_of_.find(v.id());
+          if (it == digit_of_.end()) {
+            known = false;
+            break;
+          }
+          c += static_cast<uint64_t>(it->second) * place;
+          place *= check_.cand_.size();
+        }
+        if (known) answer.codes.push_back(c);
+      }
+      std::sort(answer.codes.begin(), answer.codes.end());
+    }
+    if (n > filled) WSV_COUNT("ltl/fo_leaf_evals", n - filled);
+    for (size_t e = from; e < n; ++e) {
+      const EdgeAnswer& answer = t->answers[e];
+      bits->Set(e, answer.complement !=
+                       std::binary_search(answer.codes.begin(),
+                                          answer.codes.end(), code));
+    }
+    return Status::OK();
+  }
+
+ private:
+  const LtlDatabaseCheck& check_;
+  const ConfigGraph& graph_;
+  /// Per leaf: the query head, leaf_vars_ mapped to variable names.
+  std::vector<std::vector<std::string>> heads_;
+  /// Candidate digit -> first digit holding the same value, so caller-
+  /// supplied duplicate candidates share codes; digit_of_ maps a value
+  /// id to that canonical digit.
+  std::vector<int32_t> canon_;
+  std::unordered_map<int32_t, int32_t> digit_of_;
+  /// Per leaf, keyed by extension set (node map: stable addresses).
+  std::vector<std::map<std::vector<int32_t>, Table>> tables_;
+};
+
+void LtlDatabaseCheck::LeafMemoKey(size_t k,
+                                   const std::vector<int32_t>& digits,
+                                   std::vector<int32_t>* key) const {
+  key->clear();
+  for (size_t p : leaf_vars_[k]) key->push_back(digits[p]);
+  key->push_back(-1);  // separator: bindings | domain extension
+  if (leaf_qfree_[k]) return;
+  // The extension is the sorted deduped set of domain-relevant digits;
+  // the handful of closure variables makes sort-on-the-tail the cheap
+  // way to canonicalize. Quantifier-free leaves skip it: they never
+  // iterate the active domain, so extending it cannot change their
+  // truth.
+  const size_t ext_begin = key->size();
+  for (int32_t d : digits) {
+    if (domain_relevant_[k][static_cast<size_t>(d)]) key->push_back(d);
+  }
+  std::sort(key->begin() + ext_begin, key->end());
+  key->erase(std::unique(key->begin() + ext_begin, key->end()), key->end());
+}
 
 bool ClassCollapseEnabled() {
   return std::getenv("WSV_DISABLE_CLASS_COLLAPSE") == nullptr;
@@ -306,13 +548,15 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
     check.num_valuations_ = n;
   }
 
-  // Classify leaves by the closure variables they mention, and evaluate
+  // Classify leaves by the closure variables they mention, and query
   // the valuation-independent ones once per database.
   const size_t num_leaves = automaton->leaves.size();
   const size_t num_edges = check.graph_.edges.size();
   check.leaf_vars_.resize(num_leaves);
   check.static_cols_.resize(num_leaves);
   check.leaf_qfree_.resize(num_leaves, 0);
+  check.leaf_query_.resize(num_leaves);
+  check.leaf_complement_.resize(num_leaves, 0);
   check.domain_relevant_.resize(num_leaves);
   // Database-domain membership of each candidate is leaf-independent;
   // scan the domain once instead of once per leaf.
@@ -327,6 +571,15 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
       if (free.count(vars[p]) > 0) check.leaf_vars_[k].push_back(p);
     }
     check.leaf_qfree_[k] = automaton->leaves[k]->IsQuantifierFree() ? 1 : 0;
+    std::vector<std::string> heads;
+    for (size_t p : check.leaf_vars_[k]) heads.push_back(vars[p]);
+    LeafQuery query = InternLeafQuery(automaton->leaves[k], heads);
+    check.leaf_query_[k] = std::move(query.formula);
+    check.leaf_complement_[k] = query.complement ? 1 : 0;
+  }
+  std::optional<LeafAnswers> static_answers;
+  if (!check.on_the_fly_) static_answers.emplace(check, check.graph_);
+  for (size_t k = 0; k < num_leaves; ++k) {
     if (check.leaf_vars_[k].empty() && !check.on_the_fly_) {
       Bitset& col = check.static_cols_[k];
       bool loaded = false;
@@ -346,14 +599,8 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
       if (!loaded) {
         [[maybe_unused]] const uint64_t eval_start = WSV_OBS_NOW();
         col.Resize(num_edges);
-        for (size_t e = 0; e < num_edges; ++e) {
-          TraceView view = check.graph_.View(static_cast<int>(e));
-          WSV_ASSIGN_OR_RETURN(bool b,
-                               EvalFoAtStep(automaton->leaves[k], view, db,
-                                            *service, {}));
-          col.Set(e, b);
-        }
-        WSV_COUNT("ltl/fo_leaf_evals", num_edges);
+        WSV_RETURN_IF_ERROR(static_answers->Extend(
+            static_answers->TableFor(k, {}), 0, 0, num_edges, &col));
         WSV_HIST("ltl/leaf_col_eval_ns", WSV_OBS_NOW() - eval_start);
         if (check.leaf_store_ != nullptr) {
           check.leaf_store_->Publish(
@@ -396,6 +643,39 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
   return check;
 }
 
+StatusOr<std::vector<std::vector<Bitset>>> LtlDatabaseCheck::LeafColumns(
+    uint64_t begin, uint64_t end) const {
+  if (on_the_fly_) {
+    return Status::Unsupported("leaf columns need an eager context");
+  }
+  const size_t num_vars = property_->universal_vars.size();
+  const size_t num_leaves = automaton_->leaves.size();
+  const size_t num_edges = graph_.edges.size();
+  if (end > num_valuations_) end = num_valuations_;
+  LeafAnswers answers(*this, graph_);
+  std::vector<int32_t> digits(num_vars, 0);
+  std::vector<int32_t> memo_key;
+  std::vector<std::vector<Bitset>> out;
+  for (uint64_t i = begin; i < end; ++i) {
+    for (size_t k = 0; k < num_vars; ++k) {
+      digits[k] = static_cast<int32_t>((i / stride_[k]) % cand_.size());
+    }
+    std::vector<Bitset>& cols = out.emplace_back(num_leaves);
+    for (size_t k = 0; k < num_leaves; ++k) {
+      if (leaf_vars_[k].empty()) {
+        cols[k] = static_cols_[k];
+        continue;
+      }
+      LeafMemoKey(k, digits, &memo_key);
+      cols[k].Resize(num_edges);
+      WSV_RETURN_IF_ERROR(answers.Extend(answers.TableFor(k, memo_key),
+                                         answers.Code(k, digits), 0,
+                                         num_edges, &cols[k]));
+    }
+  }
+  return out;
+}
+
 StatusOr<std::optional<IndexedCounterExample>>
 LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
                                   const std::function<bool(uint64_t)>& stop,
@@ -436,6 +716,8 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
   std::vector<std::unordered_map<std::vector<int32_t>, uint32_t,
                                  VectorKeyHash<int32_t>>>
       memo(num_leaves);
+  // A memo miss reads its column from the leaf's answer table.
+  LeafAnswers answers(*this, graph_);
 
   // The emptiness verdict of each first-of-class product. For violating
   // classes the accepting lasso and its Dom(rho) are cached too: repeats
@@ -484,17 +766,6 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
     for (size_t k = 0; k < vars.size(); ++k) {
       digits[k] = static_cast<int32_t>((i / stride_[k]) % c);
     }
-    // The full var -> value map is only needed off the fast path (FO
-    // evaluation on a memo miss, counterexample assembly); everything
-    // else works from the digits.
-    Valuation valuation;
-    auto ensure_valuation = [&] {
-      if (valuation.empty() && !vars.empty()) {
-        for (size_t k = 0; k < vars.size(); ++k) {
-          valuation[vars[k]] = cand_[static_cast<size_t>(digits[k])];
-        }
-      }
-    };
 
     // Resolve the truth-column id of every FO leaf under the valuation.
     for (size_t k = 0; k < num_leaves; ++k) {
@@ -502,26 +773,7 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
         cols[k] = static_ids[k];
         continue;
       }
-      memo_key.clear();
-      for (size_t p : leaf_vars_[k]) memo_key.push_back(digits[p]);
-      memo_key.push_back(-1);  // separator: bindings | domain extension
-      if (!leaf_qfree_[k]) {
-        // The extension is the sorted deduped set of domain-relevant
-        // digits; the handful of closure variables makes insertion
-        // sort on the scratch tail the cheap way to canonicalize.
-        // Quantifier-free leaves skip it: they never iterate the active
-        // domain, so extending it cannot change their truth.
-        const size_t ext_begin = memo_key.size();
-        for (int32_t d : digits) {
-          if (domain_relevant_[k][static_cast<size_t>(d)]) {
-            memo_key.push_back(d);
-          }
-        }
-        std::sort(memo_key.begin() + ext_begin, memo_key.end());
-        memo_key.erase(
-            std::unique(memo_key.begin() + ext_begin, memo_key.end()),
-            memo_key.end());
-      }
+      LeafMemoKey(k, digits, &memo_key);
       auto it = memo[k].find(memo_key);
       if (it == memo[k].end()) {
         WSV_COUNT1("ltl/leaf_memo_misses");
@@ -544,17 +796,10 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
         }
         if (!loaded) {
           [[maybe_unused]] const uint64_t eval_start = WSV_OBS_NOW();
-          ensure_valuation();
           col_scratch.Resize(num_edges);
-          for (size_t e = 0; e < num_edges; ++e) {
-            TraceView view = graph_.View(static_cast<int>(e));
-            WSV_ASSIGN_OR_RETURN(bool b,
-                                 EvalFoAtStep(automaton_->leaves[k], view,
-                                              *database_, *service_,
-                                              valuation));
-            col_scratch.Set(e, b);
-          }
-          WSV_COUNT("ltl/fo_leaf_evals", num_edges);
+          WSV_RETURN_IF_ERROR(answers.Extend(answers.TableFor(k, memo_key),
+                                             answers.Code(k, digits), 0,
+                                             num_edges, &col_scratch));
           WSV_HIST("ltl/leaf_col_eval_ns", WSV_OBS_NOW() - eval_start);
           if (leaf_store_ != nullptr) {
             leaf_store_->Publish(store_key, SetBitsOf(col_scratch, num_edges),
@@ -692,12 +937,13 @@ LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
       continue;
     }
     WSV_COUNT1("ltl/counterexamples_found");
-    ensure_valuation();
     IndexedCounterExample found;
     found.valuation_index = i;
     found.cex.database = *database_;
     found.cex.run = outcome->run;
-    found.cex.valuation = std::move(valuation);
+    for (size_t k = 0; k < vars.size(); ++k) {
+      found.cex.valuation[vars[k]] = cand_[static_cast<size_t>(digits[k])];
+    }
     return std::optional<IndexedCounterExample>(std::move(found));
   }
   return std::optional<IndexedCounterExample>(std::nullopt);
@@ -751,16 +997,19 @@ LtlDatabaseCheck::CheckValuationsOtf(
   struct LeafCol {
     Bitset bits;
     size_t upto = 0;
-    /// The binding the column is evaluated under. Only the projection
-    /// onto the leaf's free variables (plus the domain extension — see
-    /// the memo key) can influence the truth, so sharing the column
-    /// across valuations with the same key is exact.
-    Valuation val;
+    /// Where the bits come from: the answer table of the column's leaf
+    /// and extension set, and the projection code to test in it. Only
+    /// the projection onto the leaf's free variables (plus the domain
+    /// extension — see the memo key) can influence the truth, so sharing
+    /// the column across valuations with the same key is exact.
+    LeafAnswers::Table* table = nullptr;
+    uint64_t code = 0;
     /// Cross-request persistence (empty key = not persisted): the bound
     /// the column was loaded at, so only net-new prefix is republished.
     std::string store_key;
     size_t loaded_upto = 0;
   };
+  LeafAnswers answers(*this, graph);
   std::deque<LeafCol> col_store;
   std::vector<LeafCol*> static_col(num_leaves, nullptr);
   std::vector<std::unordered_map<std::vector<int32_t>, LeafCol*,
@@ -802,18 +1051,12 @@ LtlDatabaseCheck::CheckValuationsOtf(
     }
   };
 
-  auto extend_col = [&](size_t k, LeafCol* col, size_t n) -> Status {
+  auto extend_col = [&](LeafCol* col, size_t n) -> Status {
     if (col->upto >= n) return Status::OK();
     [[maybe_unused]] const uint64_t eval_start = WSV_OBS_NOW();
     col->bits.GrowTo(n);
-    for (size_t e = col->upto; e < n; ++e) {
-      TraceView view = graph.View(static_cast<int>(e));
-      WSV_ASSIGN_OR_RETURN(bool b,
-                           EvalFoAtStep(automaton_->leaves[k], view,
-                                        *database_, *service_, col->val));
-      col->bits.Set(e, b);
-    }
-    WSV_COUNT("ltl/fo_leaf_evals", n - col->upto);
+    WSV_RETURN_IF_ERROR(
+        answers.Extend(col->table, col->code, col->upto, n, &col->bits));
     WSV_HIST("ltl/leaf_col_eval_ns", WSV_OBS_NOW() - eval_start);
     col->upto = n;
     return Status::OK();
@@ -859,14 +1102,6 @@ LtlDatabaseCheck::CheckValuationsOtf(
     for (size_t k = 0; k < vars.size(); ++k) {
       digits[k] = static_cast<int32_t>((i / stride_[k]) % c);
     }
-    Valuation valuation;
-    auto ensure_valuation = [&] {
-      if (valuation.empty() && !vars.empty()) {
-        for (size_t k = 0; k < vars.size(); ++k) {
-          valuation[vars[k]] = cand_[static_cast<size_t>(digits[k])];
-        }
-      }
-    };
 
     // Resolve each leaf's column (same memo discipline as the eager
     // sweep; only the representation changed from eager bits to a lazily
@@ -876,33 +1111,20 @@ LtlDatabaseCheck::CheckValuationsOtf(
         if (static_col[k] == nullptr) {
           col_store.emplace_back();
           static_col[k] = &col_store.back();
+          static_col[k]->table = answers.TableFor(k, {});
           if (use_store) attach_store(k, static_col[k], "static");
           WSV_COUNT1("ltl/static_leaf_cols");
         }
         leaf_cols[k] = static_col[k];
         continue;
       }
-      memo_key.clear();
-      for (size_t p : leaf_vars_[k]) memo_key.push_back(digits[p]);
-      memo_key.push_back(-1);  // separator: bindings | domain extension
-      if (!leaf_qfree_[k]) {
-        const size_t ext_begin = memo_key.size();
-        for (int32_t d : digits) {
-          if (domain_relevant_[k][static_cast<size_t>(d)]) {
-            memo_key.push_back(d);
-          }
-        }
-        std::sort(memo_key.begin() + ext_begin, memo_key.end());
-        memo_key.erase(
-            std::unique(memo_key.begin() + ext_begin, memo_key.end()),
-            memo_key.end());
-      }
+      LeafMemoKey(k, digits, &memo_key);
       auto it = memo[k].find(memo_key);
       if (it == memo[k].end()) {
         WSV_COUNT1("ltl/leaf_memo_misses");
-        ensure_valuation();
         col_store.emplace_back();
-        col_store.back().val = valuation;
+        col_store.back().table = answers.TableFor(k, memo_key);
+        col_store.back().code = answers.Code(k, digits);
         if (use_store) {
           attach_store(k, &col_store.back(),
                        LeafBinding(leaf_vars_[k], digits, cand_,
@@ -925,10 +1147,8 @@ LtlDatabaseCheck::CheckValuationsOtf(
         bool same = true;
         for (size_t k = 0; k < num_leaves && same; ++k) {
           if (cls.cols[k] == leaf_cols[k]) continue;
-          WSV_RETURN_IF_ERROR(
-              extend_col(k, cls.cols[k], cls.edges_at_close));
-          WSV_RETURN_IF_ERROR(
-              extend_col(k, leaf_cols[k], cls.edges_at_close));
+          WSV_RETURN_IF_ERROR(extend_col(cls.cols[k], cls.edges_at_close));
+          WSV_RETURN_IF_ERROR(extend_col(leaf_cols[k], cls.edges_at_close));
           if (!cls.cols[k]->bits.PrefixEquals(leaf_cols[k]->bits,
                                               cls.edges_at_close)) {
             same = false;
@@ -977,7 +1197,7 @@ LtlDatabaseCheck::CheckValuationsOtf(
         }
         if (matching.size() <= e) matching.resize(e + 1, nullptr);
         for (size_t k = 0; k < num_leaves; ++k) {
-          WSV_RETURN_IF_ERROR(extend_col(k, leaf_cols[k], e + 1));
+          WSV_RETURN_IF_ERROR(extend_col(leaf_cols[k], e + 1));
         }
         label_scratch.Resize(num_leaves);
         for (size_t k = 0; k < num_leaves; ++k) {
@@ -1126,12 +1346,13 @@ LtlDatabaseCheck::CheckValuationsOtf(
       continue;
     }
     WSV_COUNT1("ltl/counterexamples_found");
-    ensure_valuation();
     IndexedCounterExample found;
     found.valuation_index = i;
     found.cex.database = *database_;
     found.cex.run = outcome->run;
-    found.cex.valuation = std::move(valuation);
+    for (size_t k = 0; k < vars.size(); ++k) {
+      found.cex.valuation[vars[k]] = cand_[static_cast<size_t>(digits[k])];
+    }
     publish_cols();
     return std::optional<IndexedCounterExample>(std::move(found));
   }

@@ -198,8 +198,34 @@ class LtlDatabaseCheck {
       const std::function<bool(uint64_t)>& stop,
       uint64_t* product_states) const;
 
+  /// Candidate values for each closure variable, in digit order.
+  const std::vector<Value>& candidates() const { return cand_; }
+
+  /// The configuration graph built at Create. Eager contexts only
+  /// (empty in on-the-fly mode).
+  const ConfigGraph& eager_graph() const { return graph_; }
+
+  /// The truth column of every FO leaf over the eager graph's edges, for
+  /// each valuation index in [begin, end): result[i - begin][k] is leaf
+  /// k's column under valuation i, read from the per-leaf answer tables
+  /// exactly as the sweeps read them. Lets tests compare the tables
+  /// against per-valuation EvalFoAtStep. Unsupported in on-the-fly
+  /// mode.
+  StatusOr<std::vector<std::vector<Bitset>>> LeafColumns(uint64_t begin,
+                                                         uint64_t end) const;
+
  private:
   LtlDatabaseCheck() = default;
+
+  /// Per-leaf answer tables: each leaf evaluated once per edge as a
+  /// query over its closure variables (defined in ltl_verifier.cc).
+  class LeafAnswers;
+
+  /// The memo key of dynamic leaf k under the valuation `digits`: the
+  /// projection onto the leaf's variables, a -1 separator, then (for
+  /// quantified leaves) the sorted, deduplicated domain-relevant digits.
+  void LeafMemoKey(size_t k, const std::vector<int32_t>& digits,
+                   std::vector<int32_t>* key) const;
 
   /// The on-the-fly sweep (see DESIGN.md §6e): per call, a lazy
   /// configuration graph is expanded by nested-DFS product searches run
@@ -242,13 +268,19 @@ class LtlDatabaseCheck {
   /// variables free in the leaf. Empty = valuation-independent leaf.
   std::vector<std::vector<size_t>> leaf_vars_;
   /// Per *static* leaf k (leaf_vars_[k].empty()): truth per edge,
-  /// evaluated once at Create. Empty bitset for dynamic leaves; empty in
-  /// on-the-fly mode (columns are then grown lazily per sweep).
+  /// queried once per edge at Create. Empty bitset for dynamic leaves;
+  /// empty in on-the-fly mode (columns are then grown lazily per sweep).
   std::vector<Bitset> static_cols_;
   /// Per leaf: quantifier-free? A QF leaf never iterates the active
   /// domain, so its truth is independent of which closure values extend
   /// the domain — the memo key can drop the domain-extension digits.
   std::vector<char> leaf_qfree_;
+  /// Per leaf: the formula its answer table queries — the leaf itself,
+  /// or (leaf_complement_[k] set) the NNF of its negation, when only
+  /// that one binds every head by a relation scan instead of
+  /// enumerating the active domain.
+  std::vector<FormulaPtr> leaf_query_;
+  std::vector<char> leaf_complement_;
   /// Automaton states grouped by their leaf-truth label, packed as a
   /// bitset over the leaves. Built once per context: the product
   /// construction resolves an edge's matching states with one hash

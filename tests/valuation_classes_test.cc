@@ -7,11 +7,13 @@
 // exactly the naive sweep's verdict and lowest-index counterexample on
 // the gallery services (WSV_DISABLE_CLASS_COLLAPSE forces the naive
 // sweep), the class accounting adds up, shard splits at higher job
-// counts keep the totals consistent, and the db_enum fresh-value
-// symmetry pruning never drops an orbit.
+// counts keep the totals consistent, the per-leaf answer tables the
+// columns are read from agree with per-valuation leaf evaluation, and
+// the db_enum fresh-value symmetry pruning never drops an orbit.
 
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,6 +26,9 @@
 #include "verify/db_enum.h"
 #include "verify/ltl_verifier.h"
 #include "verify/parallel.h"
+#include "verify/witness_check.h"
+#include "ws/data_parser.h"
+#include "ws/spec_parser.h"
 
 namespace wsv {
 namespace {
@@ -48,6 +53,7 @@ class ScopedNaiveSweep {
 struct SweepRun {
   bool holds = true;
   std::string cex;  // CounterExample::ToString(), empty when none
+  std::optional<CounterExample> witness;
   uint64_t valuations = 0;
   uint64_t classes = 0;
   uint64_t class_hits = 0;
@@ -70,6 +76,7 @@ SweepRun RunSweep(const WebService& service, const LtlVerifyOptions& options,
   SweepRun out;
   out.holds = r->holds;
   if (r->counterexample.has_value()) out.cex = r->counterexample->ToString();
+  out.witness = r->counterexample;
   obs::MetricsSnapshot snap = obs::SnapshotMetrics();
   out.valuations = snap.CounterValue("ltl/valuations_checked");
   out.classes = snap.CounterValue("ltl/valuation_classes");
@@ -282,6 +289,395 @@ TEST(CollapseJobsTest, ChunkedSweepVerdictAndAccountingMatchAcrossJobs) {
     EXPECT_EQ(jobs1.classes + jobs1.class_hits, jobs1.valuations);
     EXPECT_EQ(jobs4.classes + jobs4.class_hits, jobs4.valuations);
   }
+}
+
+// --- Answer tables vs the per-valuation oracle. -------------------------
+//
+// Both sweeps read leaf columns from per-leaf answer tables: one FO query
+// per (leaf, edge[, extension set]) whose answer is the set of satisfying
+// closure bindings. The oracle is the definition itself: EvalFoAtStep
+// once per (valuation, edge, leaf) under the full valuation.
+
+struct TableCase {
+  const WebService* service = nullptr;
+  const Instance* db = nullptr;
+  LtlVerifyOptions options;
+  std::string prop;
+  // Which (valuation i, edge e, leaf) triples meet the oracle: all when
+  // 1, else those with e % stride == 0 or (i + e) % stride == 0 — every
+  // edge and every valuation, each several times — plus every table bit
+  // that differs from the majority of its edge and leaf (the bits that
+  // carry the valuation dependence).
+  size_t stride = 1;
+};
+
+struct TableCheck {
+  std::vector<FormulaPtr> leaves;
+  std::vector<std::string> vars;
+  std::vector<Value> cand;
+  ConfigGraph graph;
+  std::vector<std::vector<Bitset>> cols;  // [valuation][leaf]
+  uint64_t pairs_checked = 0;
+  uint64_t oracle_true = 0;
+};
+
+Valuation ValuationAt(const TableCheck& t, uint64_t i) {
+  Valuation val;
+  for (const std::string& var : t.vars) {
+    val[var] = t.cand[i % t.cand.size()];
+    i /= t.cand.size();
+  }
+  return val;
+}
+
+// The index of `val` in the sweep's odometer order.
+uint64_t IndexOf(const TableCheck& t, const Valuation& val) {
+  uint64_t index = 0;
+  uint64_t place = 1;
+  for (const std::string& var : t.vars) {
+    size_t d = 0;
+    while (d < t.cand.size() && t.cand[d] != val.at(var)) ++d;
+    index += d * place;
+    place *= t.cand.size();
+  }
+  return index;
+}
+
+void CheckTablesAgainstOracle(const TableCase& tc, TableCheck* out) {
+  auto p = ParseTemporalProperty(tc.prop, &tc.service->vocab());
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  auto automaton = BuildNegatedAutomaton(*tc.service, *p,
+                                         tc.options.require_input_bounded);
+  ASSERT_TRUE(automaton.ok()) << automaton.status().ToString();
+  LtlVerifyOptions eager = tc.options;
+  eager.force_eager = true;
+  auto check =
+      LtlDatabaseCheck::Create(tc.service, eager, &*p, &*automaton, *tc.db);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  auto cols = check->LeafColumns(0, check->NumValuations());
+  ASSERT_TRUE(cols.ok()) << cols.status().ToString();
+  out->leaves = automaton->leaves;
+  out->vars = p->universal_vars;
+  out->cand = check->candidates();
+  out->graph = check->eager_graph();
+  out->cols = std::move(cols).value();
+  const size_t num_edges = out->graph.edges.size();
+  const size_t num_vals = out->cols.size();
+  ASSERT_EQ(num_vals, check->NumValuations());
+  ASSERT_GT(num_edges, 0u);
+
+  std::vector<Valuation> vals;
+  for (size_t i = 0; i < num_vals; ++i) vals.push_back(ValuationAt(*out, i));
+  uint64_t mismatches = 0;
+  std::string first;
+  for (size_t e = 0; e < num_edges; ++e) {
+    const TraceView view = out->graph.View(static_cast<int>(e));
+    for (size_t k = 0; k < out->leaves.size(); ++k) {
+      size_t ones = 0;
+      for (size_t i = 0; i < num_vals; ++i) ones += out->cols[i][k].Test(e);
+      const bool majority = 2 * ones > num_vals;
+      for (size_t i = 0; i < num_vals; ++i) {
+        const bool table = out->cols[i][k].Test(e);
+        if (tc.stride > 1 && table == majority && e % tc.stride != 0 &&
+            (i + e) % tc.stride != 0) {
+          continue;
+        }
+        auto oracle = EvalFoAtStep(out->leaves[k], view, check->database(),
+                                   *tc.service, vals[i]);
+        ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+        ++out->pairs_checked;
+        if (*oracle) ++out->oracle_true;
+        if (*oracle != table && mismatches++ == 0) {
+          first = "valuation " + std::to_string(i) + ", edge " +
+                  std::to_string(e) + ", leaf " + out->leaves[k]->ToString() +
+                  ": oracle " + (*oracle ? "true" : "false");
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << tc.prop << "\nfirst: " << first;
+}
+
+// The comparison is not vacuous: both truth values met the oracle.
+void ExpectBothTruthValues(const std::vector<TableCheck>& checks) {
+  uint64_t trues = 0;
+  uint64_t pairs = 0;
+  for (const TableCheck& t : checks) {
+    trues += t.oracle_true;
+    pairs += t.pairs_checked;
+  }
+  EXPECT_GT(trues, 0u);
+  EXPECT_LT(trues, pairs);
+}
+
+// Runs both engines at jobs 1 and 4 (unsliced, so one sweep decides)
+// and checks them against the tables: the eager sweep's classes are
+// exactly the distinct column tuples among the valuations it swept, the
+// on-the-fly sweep (which compares column prefixes) never has more;
+// verdicts agree, both engines name the same valuation, every witness
+// replays under the per-valuation semantics, and each engine's witness
+// text is identical across job counts.
+void ExpectEnginesMatchTables(const TableCase& tc, const TableCheck& t) {
+  LtlVerifyOptions opts = tc.options;
+  opts.enable_slice = false;
+  auto p = ParseTemporalProperty(tc.prop, &tc.service->vocab());
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  SweepRun runs[2];  // [on-the-fly, eager] at jobs 1
+  for (int eager = 0; eager < 2; ++eager) {
+    opts.force_eager = eager != 0;
+    SweepRun serial = RunSweep(*tc.service, opts, tc.prop, tc.db, 1);
+    SweepRun sharded = RunSweep(*tc.service, opts, tc.prop, tc.db, 4);
+    EXPECT_EQ(serial.holds, sharded.holds) << tc.prop;
+    EXPECT_EQ(serial.cex, sharded.cex) << tc.prop;
+    if (serial.witness.has_value()) {
+      Status replay = ValidateWitness(*tc.service, *p, *serial.witness);
+      EXPECT_TRUE(replay.ok()) << tc.prop << ": " << replay.ToString();
+    }
+    runs[eager] = std::move(serial);
+  }
+  const SweepRun& otf = runs[0];
+  const SweepRun& eager = runs[1];
+  EXPECT_EQ(otf.holds, eager.holds) << tc.prop;
+  ASSERT_EQ(otf.witness.has_value(), eager.witness.has_value()) << tc.prop;
+  uint64_t swept = t.cols.size();
+  if (eager.witness.has_value()) {
+    EXPECT_EQ(otf.witness->valuation, eager.witness->valuation) << tc.prop;
+    swept = IndexOf(t, eager.witness->valuation) + 1;
+  }
+  if (!kInstrumented) return;
+  std::vector<const std::vector<Bitset>*> distinct;
+  for (uint64_t i = 0; i < swept; ++i) {
+    bool seen = false;
+    for (const std::vector<Bitset>* d : distinct) seen |= *d == t.cols[i];
+    if (!seen) distinct.push_back(&t.cols[i]);
+  }
+  EXPECT_EQ(eager.valuations, swept) << tc.prop;
+  EXPECT_EQ(eager.classes, distinct.size()) << tc.prop;
+  EXPECT_LE(otf.classes, eager.classes) << tc.prop;
+}
+
+TEST(AnswerTableTest, Property4FullPoolMatchesOracle) {
+  auto ws = BuildEcommerceService();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  Instance db = EcommerceSmallDatabase();
+  TableCase tc;
+  tc.service = &*ws;
+  tc.db = &db;
+  tc.options.graph.constant_pool = {V("alice"), V("pw")};
+  tc.options.require_input_bounded = false;
+  tc.prop =
+      "forall pid, price . ((UPP & payamount(price) & button(\"submit\") "
+      "& pick(pid, price) & prod_prices(pid, price)) "
+      "B !(conf(name, price) & ship(name, pid)))";
+  tc.stride = 400;
+  TableCheck t;
+  CheckTablesAgainstOracle(tc, &t);
+  if (HasFatalFailure()) return;
+  ExpectBothTruthValues({t});
+  // No closure_candidates restriction: the default 36-value pool.
+  EXPECT_EQ(t.cand.size(), 36u);
+  EXPECT_EQ(t.cols.size(), 1296u);
+  ExpectEnginesMatchTables(tc, t);
+
+  // At the defaults (sliced, on-the-fly, jobs 1) the sweep's work counts
+  // stay what per-valuation evaluation gave: 1296 valuations, 2 classes.
+  SweepRun cli = RunSweep(*ws, tc.options, tc.prop, &db, 1);
+  EXPECT_TRUE(cli.holds);
+  if (kInstrumented) {
+    EXPECT_EQ(cli.valuations, 1296u);
+    EXPECT_EQ(cli.classes, 2u);
+    EXPECT_EQ(cli.products_built, 2u);
+    EXPECT_EQ(cli.product_states, 2320u);
+  }
+}
+
+class AnswerTableLoginTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto ws = BuildLoginService();
+    ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+    service_ = std::move(ws).value();
+    db_ = LoginDatabase();
+  }
+
+  TableCase Case(const std::string& prop) {
+    TableCase tc;
+    tc.service = &service_;
+    tc.db = &db_;
+    tc.options.graph.constant_pool = {V("alice"), V("pw"), V("u0")};
+    tc.options.require_input_bounded = false;
+    tc.prop = prop;
+    return tc;
+  }
+
+  WebService service_;
+  Instance db_;
+};
+
+TEST_F(AnswerTableLoginTest, ClosurePropertiesMatchOracle) {
+  std::vector<TableCheck> checks;
+  for (const char* prop : {"forall m . G(!error(m))",
+                           "forall m . G(!(logged_in & error(m)))"}) {
+    TableCase tc = Case(prop);
+    TableCheck& t = checks.emplace_back();
+    CheckTablesAgainstOracle(tc, &t);
+    if (HasFatalFailure()) return;
+    ExpectEnginesMatchTables(tc, t);
+  }
+  ExpectBothTruthValues(checks);
+}
+
+TEST_F(AnswerTableLoginTest, PrevAtomsMatchOracle) {
+  std::vector<TableCheck> checks;
+  for (const char* prop : {"forall m . G(!(prev.button(m) & error(m)))",
+                           "forall m . G(prev.button(m) | !button(m))"}) {
+    TableCase tc = Case(prop);
+    TableCheck& t = checks.emplace_back();
+    CheckTablesAgainstOracle(tc, &t);
+    if (HasFatalFailure()) return;
+    ExpectEnginesMatchTables(tc, t);
+  }
+  ExpectBothTruthValues(checks);
+}
+
+// Login with the password requested on a second page, so the first
+// step's edges have `password` outside kappa.
+const char kLatePasswordSpec[] = R"(service LatePassword;
+
+database user(uname, upass);
+state error(msg);
+input name const;
+input password const;
+input button(label);
+
+page HP {
+  input name;
+  options button(x) :- x = "next" | x = "quit";
+  target PW :- button("next");
+  target BYE :- button("quit") | !(exists x . button(x) & true);
+}
+
+page PW {
+  input password;
+  options button(x) :- x = "login";
+  state +error("failed login") :- !user(name, password) & button("login");
+  target CP :- user(name, password) & button("login");
+  target BYE :- !user(name, password) | !(exists x . button(x) & true);
+}
+
+page CP {
+  options button(x) :- x = "logout";
+  target BYE :- button("logout");
+}
+
+page BYE {
+}
+
+home HP;
+error ERR;
+)";
+
+TEST(AnswerTableTest, InputConstantNotYetProvided) {
+  // The leaf !user(m, password) is negated — its table stores the
+  // answers of user(m, password) and complements them — and mentions
+  // the input constant `password`: on edges where it is not yet in
+  // kappa, condition (a) makes the leaf false for every binding,
+  // complement or not.
+  auto ws = ParseServiceSpec(kLatePasswordSpec);
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  auto db = ParseDataFile("user(alice, pw).", &ws->vocab());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  TableCase tc;
+  tc.service = &*ws;
+  tc.db = &*db;
+  tc.options.graph.constant_pool = {V("alice"), V("pw"), V("u0")};
+  tc.options.require_input_bounded = false;
+  tc.prop = "forall m . F(user(m, password))";
+  TableCheck t;
+  CheckTablesAgainstOracle(tc, &t);
+  if (HasFatalFailure()) return;
+  ASSERT_EQ(t.leaves.size(), 1u);
+  ExpectBothTruthValues({t});
+  size_t unprovided = 0;
+  for (size_t e = 0; e < t.graph.edges.size(); ++e) {
+    if (t.graph.View(static_cast<int>(e)).kappa->count("password") > 0) {
+      continue;
+    }
+    ++unprovided;
+    for (const std::vector<Bitset>& cols : t.cols) {
+      EXPECT_FALSE(cols[0].Test(e)) << "edge " << e;
+    }
+  }
+  EXPECT_GT(unprovided, 0u);
+  ExpectEnginesMatchTables(tc, t);
+}
+
+TEST_F(AnswerTableLoginTest, ExtensionSetMatters) {
+  // A quantified leaf over m whose truth also depends on n: binding n to
+  // a candidate outside the database and the leaf's literals ("u0", the
+  // error message, the button labels) adds it to the active domain the
+  // forall ranges over. Its answer table is therefore per extension set.
+  TableCase tc = Case(
+      "forall m, n . G(!(forall x . (x = m | error(x) | button(x) | "
+      "exists y . (user(x, y) | user(y, x))))) | F(error(n))");
+  TableCheck t;
+  CheckTablesAgainstOracle(tc, &t);
+  if (HasFatalFailure()) return;
+  ExpectBothTruthValues({t});
+  size_t quantified = t.leaves.size();
+  for (size_t k = 0; k < t.leaves.size(); ++k) {
+    if (!t.leaves[k]->IsQuantifierFree()) quantified = k;
+  }
+  ASSERT_LT(quantified, t.leaves.size());
+  // Same m (the leaf's only variable), different n, different column.
+  bool differs = false;
+  const size_t c = t.cand.size();
+  for (size_t i = 0; i < t.cols.size() && !differs; ++i) {
+    for (size_t j = i % c; j < t.cols.size() && !differs; j += c) {
+      differs = t.cols[i][quantified] != t.cols[j][quantified];
+    }
+  }
+  EXPECT_TRUE(differs);
+  ExpectEnginesMatchTables(tc, t);
+}
+
+TEST(AnswerTableTest, NegatedHeadsMatchOracle) {
+  auto ws = BuildEcommerceService();
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  Instance db = EcommerceSmallDatabase();
+  // The leaf pick(pid, price) & pid != price scans both heads;
+  // !pick(pid, price) does not, and is answered through its negation.
+  std::vector<TableCheck> checks;
+  for (const char* prop :
+       {"forall pid, price . G(!pick(pid, price) | pid = price)",
+        "forall pid, price . F(pick(pid, price))"}) {
+    TableCase tc;
+    tc.service = &*ws;
+    tc.db = &db;
+    tc.options.graph.constant_pool = {V("alice"), V("pw")};
+    tc.options.require_input_bounded = false;
+    // "u0" is outside the database and every literal.
+    tc.options.closure_candidates = {V("p1"), V("100"), V("alice"), V("u0")};
+    tc.prop = prop;
+    tc.stride = 16;
+    TableCheck& t = checks.emplace_back();
+    CheckTablesAgainstOracle(tc, &t);
+    if (HasFatalFailure()) return;
+    ExpectEnginesMatchTables(tc, t);
+  }
+  ExpectBothTruthValues(checks);
+}
+
+TEST_F(AnswerTableLoginTest, UnguardedHeadsMatchOracle) {
+  // m != n | error(m): neither the leaf nor its negation m = n & !error(m)
+  // binds both heads by a scan, so the query enumerates them over the
+  // domain — which holds every candidate, pool values included.
+  TableCase tc = Case("forall m, n . F(m = n & !error(m))");
+  TableCheck t;
+  CheckTablesAgainstOracle(tc, &t);
+  if (HasFatalFailure()) return;
+  ExpectBothTruthValues({t});
+  ExpectEnginesMatchTables(tc, t);
 }
 
 // --- db_enum fresh-value symmetry pruning. ------------------------------
