@@ -11,16 +11,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <optional>
 
-#include "analysis/slice.h"
 #include "gallery/gallery.h"
 #include "ws/spec_parser.h"
 #include "ltl/ltl_parser.h"
 #include "obs/report.h"
 #include "verify/error_free.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 
 namespace wsv {
 namespace {
@@ -109,14 +106,13 @@ void MergeObsCounters(benchmark::State& state) {
 // this VIOLATED property the sliced probe is pure overhead (the first
 // valuation already has a lasso), so the row bounds that overhead.
 void RunProperty1(benchmark::State& state, bool eager, bool slice = true) {
-  std::optional<analysis::ScopedDisableSlice> no_slice;
-  if (!slice) no_slice.emplace();
   WebService service = std::move(BuildEcommerceService()).value();
   Instance db = EcommerceSmallDatabase();
   LtlVerifyOptions options;
   options.graph.constant_pool = {V("alice"), V("pw")};
   options.require_input_bounded = false;
   options.force_eager = eager;
+  options.enable_slice = slice;
   LtlVerifier verifier(&service, options);
   auto prop = ParseTemporalProperty("G(!PIP) | F(PIP & F(CC))",
                                     &service.vocab());
@@ -211,8 +207,6 @@ BENCHMARK(BM_DeepLasso_Dfs)->Unit(benchmark::kMillisecond);
 // candidates (9 valuations) unless `all_candidates` is set.
 void RunProperty4(benchmark::State& state, bool eager, bool slice = true,
                   bool all_candidates = false) {
-  std::optional<analysis::ScopedDisableSlice> no_slice;
-  if (!slice) no_slice.emplace();
   WebService service = std::move(BuildEcommerceService()).value();
   Instance db = EcommerceSmallDatabase();
   LtlVerifyOptions options;
@@ -222,6 +216,7 @@ void RunProperty4(benchmark::State& state, bool eager, bool slice = true,
     options.closure_candidates = {V("p1"), V("100"), V("alice")};
   }
   options.force_eager = eager;
+  options.enable_slice = slice;
   LtlVerifier verifier(&service, options);
   auto prop = ParseTemporalProperty(
       "forall pid, price . ((UPP & payamount(price) & button(\"submit\") "
@@ -287,7 +282,7 @@ void BM_Property4_PayBeforeShip_Jobs(benchmark::State& state) {
   options.graph.constant_pool = {V("alice"), V("pw")};
   options.require_input_bounded = false;
   options.closure_candidates = {V("p1"), V("100"), V("alice")};
-  ParallelLtlVerifier verifier(&service, options,
+  LtlVerifier verifier(&service, options,
                                static_cast<int>(state.range(0)));
   auto prop = ParseTemporalProperty(
       "forall pid, price . ((UPP & payamount(price) & button(\"submit\") "
@@ -317,7 +312,7 @@ void BM_LoginEnumSweep_Jobs(benchmark::State& state) {
   options.db.fresh_values = 1;
   options.db.max_tuples_per_relation = 1;
   options.graph.constant_pool = {V("d0")};
-  ParallelLtlVerifier verifier(&service, options,
+  LtlVerifier verifier(&service, options,
                                static_cast<int>(state.range(0)));
   auto prop = ParseTemporalProperty("G(!error(\"no such page\"))",
                                     &service.vocab());
@@ -430,14 +425,13 @@ BENCHMARK(BM_ScaleClosureArity)->DenseRange(1, 3, 1)
 // materializes (no state-count inversion on HOLDS).
 void RunLoginHoldsSweep(benchmark::State& state, bool eager,
                         bool slice = true) {
-  std::optional<analysis::ScopedDisableSlice> no_slice;
-  if (!slice) no_slice.emplace();
   WebService service = std::move(BuildLoginService()).value();
   LtlVerifyOptions options;
   options.db.fresh_values = 1;
   options.db.max_tuples_per_relation = static_cast<int>(state.range(0));
   options.graph.constant_pool = {V("d0")};
   options.force_eager = eager;
+  options.enable_slice = slice;
   LtlVerifier verifier(&service, options);
   auto prop = ParseTemporalProperty("G(!CP | logged_in)", &service.vocab());
   obs::ResetMetrics();

@@ -1,7 +1,5 @@
 #include "analysis/slice.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,14 +11,6 @@ namespace wsv {
 namespace analysis {
 
 namespace {
-
-std::atomic<bool> g_enabled{true};
-thread_local int t_disable_depth = 0;
-
-bool DisabledByEnv() {
-  static const bool disabled = std::getenv("WSV_DISABLE_SLICE") != nullptr;
-  return disabled;
-}
 
 // Input constants a rule body mentions; dropping a rule must not shrink
 // the per-page set the stepper's static-error condition (i) scans.
@@ -34,19 +24,6 @@ std::set<std::string> BodyInputConstants(const Vocabulary& vocab,
 }
 
 }  // namespace
-
-bool SliceEnabled() {
-  if (DisabledByEnv()) return false;
-  if (!g_enabled.load(std::memory_order_relaxed)) return false;
-  return t_disable_depth == 0;
-}
-
-void SetSliceEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-ScopedDisableSlice::ScopedDisableSlice() { ++t_disable_depth; }
-ScopedDisableSlice::~ScopedDisableSlice() { --t_disable_depth; }
 
 SliceResult SlicePropertyCone(const WebService& service,
                               const TemporalProperty& property) {

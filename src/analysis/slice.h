@@ -21,7 +21,7 @@
 //
 // Witness faithfulness (the Dom(ρ) check of Thm 4.2) is *not* preserved
 // per-valuation — the verifier handles that by re-running the full spec
-// from the first sliced lasso (see ltl_verifier.cc). Properties or
+// from the first sliced lasso (see verify/parallel.cc). Properties or
 // in-cone rules that fail the domain-independence analysis void the
 // reduction; SlicePropertyCone then returns the identity (null).
 #ifndef WSV_ANALYSIS_SLICE_H_
@@ -38,7 +38,7 @@ namespace analysis {
 
 struct SliceResult {
   /// The reduced service, or null when the slice is the identity
-  /// (nothing droppable, slicing disabled, or analysis bailed out).
+  /// (nothing droppable, or analysis bailed out).
   std::unique_ptr<WebService> service;
   uint64_t relations_dropped = 0;  // state/input/action symbols out of cone
   uint64_t rules_dropped = 0;
@@ -50,22 +50,6 @@ struct SliceResult {
 /// identity (null service) whenever the reduction cannot be justified.
 SliceResult SlicePropertyCone(const WebService& service,
                               const TemporalProperty& property);
-
-/// Process-wide gate, mirroring fobc::BytecodeEnabled:
-///   * environment: WSV_DISABLE_SLICE=1 disables for the process;
-///   * process-wide: SetSliceEnabled(false) (the CLI's --no-slice);
-///   * per-thread, scoped: ScopedDisableSlice (used by the differential
-///     tests and the in-process A/B benchmark rows).
-bool SliceEnabled();
-void SetSliceEnabled(bool enabled);
-
-class ScopedDisableSlice {
- public:
-  ScopedDisableSlice();
-  ~ScopedDisableSlice();
-  ScopedDisableSlice(const ScopedDisableSlice&) = delete;
-  ScopedDisableSlice& operator=(const ScopedDisableSlice&) = delete;
-};
 
 }  // namespace analysis
 }  // namespace wsv

@@ -1,6 +1,7 @@
 #include "common/str_util.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace wsv {
 
@@ -71,6 +72,44 @@ std::string QuoteString(std::string_view s) {
     }
   }
   out.push_back('"');
+  return out;
+}
+
+void AppendJsonEscaped(std::string_view s, std::string* out) {
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendJsonEscaped(s, &out);
   return out;
 }
 

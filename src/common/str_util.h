@@ -29,6 +29,16 @@ bool IsIdentifier(std::string_view s);
 /// backslash, quote, and newline characters.
 std::string QuoteString(std::string_view s);
 
+/// Appends `s` escaped for the inside of a JSON string literal: `"`,
+/// backslash, newline, carriage return and tab as two-character escapes,
+/// every other byte below 0x20 as \u00XX, all else verbatim. The one
+/// escaper behind every JSON artifact (traces, stats, event logs, lint
+/// reports, dependence graphs).
+void AppendJsonEscaped(std::string_view s, std::string* out);
+
+/// AppendJsonEscaped into a fresh string.
+std::string JsonEscape(std::string_view s);
+
 }  // namespace wsv
 
 #endif  // WSV_COMMON_STR_UTIL_H_

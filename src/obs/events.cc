@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/file_util.h"
+#include "common/str_util.h"
 #include "obs/request.h"
 
 namespace wsv {
@@ -15,40 +16,9 @@ namespace obs {
 
 namespace {
 
-void AppendEscaped(const std::string& s, std::ostream& out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 void AppendField(const std::string& key, const std::string& value,
                  std::ostream& out) {
-  out << ",\"";
-  AppendEscaped(key, out);
-  out << "\":\"";
-  AppendEscaped(value, out);
-  out << "\"";
+  out << ",\"" << JsonEscape(key) << "\":\"" << JsonEscape(value) << "\"";
 }
 
 // The singleton's state, separate so EventLog stays trivially
@@ -71,18 +41,15 @@ LogState& State() {
 
 std::string SerializeWideEvent(const WideEvent& event) {
   std::ostringstream out;
-  out << "{\"event\":\"";
-  AppendEscaped(event.event, out);
-  out << "\",\"ts_ns\":" << event.ts_ns;
+  out << "{\"event\":\"" << JsonEscape(event.event)
+      << "\",\"ts_ns\":" << event.ts_ns;
   out << ",\"request\":" << event.request;
   if (!event.label.empty()) AppendField("label", event.label, out);
   if (!event.phase.empty()) AppendField("phase", event.phase, out);
   out << ",\"duration_ns\":" << event.duration_ns;
   for (const auto& [key, value] : event.text) AppendField(key, value, out);
   for (const auto& [key, value] : event.nums) {
-    out << ",\"";
-    AppendEscaped(key, out);
-    out << "\":" << value;
+    out << ",\"" << JsonEscape(key) << "\":" << value;
   }
   if (!event.counters.empty()) {
     out << ",\"counters\":{";
@@ -90,9 +57,7 @@ std::string SerializeWideEvent(const WideEvent& event) {
     for (const auto& [name, value] : event.counters) {
       if (!first) out << ",";
       first = false;
-      out << "\"";
-      AppendEscaped(name, out);
-      out << "\":" << value;
+      out << "\"" << JsonEscape(name) << "\":" << value;
     }
     out << "}";
   }

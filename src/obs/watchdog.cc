@@ -116,15 +116,23 @@ void Watchdog::Sweep(bool allow_heartbeat) {
       heartbeats_.fetch_add(1, std::memory_order_relaxed);
       // The innermost open span is the best "where are we" answer.
       const char* where = spans.empty() ? "-" : spans.back().name.c_str();
-      std::fprintf(
-          stream,
-          "[wsv] t=%.1fs requests=%zu phase=%s valuations=%llu "
-          "vm_steps=%llu (+%llu)\n",
-          double(now - start_ns_) / 1e9, requests.size(), where,
-          static_cast<unsigned long long>(
-              snap.CounterValue("ltl/valuations_checked")),
-          static_cast<unsigned long long>(steps),
-          static_cast<unsigned long long>(steps_delta));
+      // Sweep progress so far: (line label, event field, counter).
+      static constexpr const char* kProgress[][3] = {
+          {"dbs", "databases", "verify/databases"},
+          {"graph_nodes", "graph_nodes", "config_graph/nodes"},
+          {"valuations", "valuations_checked", "ltl/valuations_checked"},
+          {"product_states", "product_states", "ltl/product_states"},
+          {"cex", "counterexamples_found", "ltl/counterexamples_found"},
+      };
+      std::fprintf(stream, "[wsv] t=%.1fs requests=%zu phase=%s",
+                   double(now - start_ns_) / 1e9, requests.size(), where);
+      for (const auto& p : kProgress) {
+        std::fprintf(stream, " %s=%llu", p[0],
+                     static_cast<unsigned long long>(snap.CounterValue(p[2])));
+      }
+      std::fprintf(stream, " vm_steps=%llu (+%llu)\n",
+                   static_cast<unsigned long long>(steps),
+                   static_cast<unsigned long long>(steps_delta));
       std::fflush(stream);
       if (EventLog::Get().enabled()) {
         WideEvent hb;
@@ -134,9 +142,9 @@ void Watchdog::Sweep(bool allow_heartbeat) {
         hb.nums.emplace_back("open_spans", spans.size());
         hb.nums.emplace_back("vm_steps", steps);
         hb.nums.emplace_back("vm_steps_delta", steps_delta);
-        hb.nums.emplace_back(
-            "valuations_checked",
-            snap.CounterValue("ltl/valuations_checked"));
+        for (const auto& p : kProgress) {
+          hb.nums.emplace_back(p[1], snap.CounterValue(p[2]));
+        }
         EventLog::Get().Emit(hb);
       }
     }

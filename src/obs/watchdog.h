@@ -11,8 +11,9 @@
 //   - the open requests (obs/metrics.h OpenRequests), treated as a
 //     pseudo-phase "request" so a whole job exceeding its deadline is
 //     reported even when no span happens to be open;
-//   - the global counters (fo/bytecode_steps, ltl/valuations_checked)
-//     to distinguish "busy" from "wedged".
+//   - the global counters: fo/bytecode_steps to distinguish "busy"
+//     from "wedged", and the sweep's progress (databases, graph nodes,
+//     valuations, product states, counterexamples) for heartbeats.
 //
 // When a span or request stays open past `stall_deadline_ns`, the
 // watchdog emits one "stall" wide event for it (obs/events.h) and a

@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/slice.h"
 #include "automata/emptiness.h"
 #include "automata/ltl_to_buchi.h"
 #include "common/fingerprint.h"
@@ -35,9 +34,6 @@ std::string CounterExample::ToString() const {
   out += "violating run (lasso):\n" + run.ToString();
   return out;
 }
-
-LtlVerifier::LtlVerifier(const WebService* service, LtlVerifyOptions options)
-    : service_(service), options_(std::move(options)) {}
 
 namespace {
 
@@ -1358,106 +1354,6 @@ LtlDatabaseCheck::CheckValuationsOtf(
   }
   publish_cols();
   return std::optional<IndexedCounterExample>(std::nullopt);
-}
-
-StatusOr<bool> LtlVerifier::CheckDatabase(const TemporalProperty& property,
-                                          const BuchiAutomaton& automaton,
-                                          const Instance& database,
-                                          const WebService* sliced_service,
-                                          LtlVerifyResult* result) {
-  uint64_t sweep_begin = 0;
-  if (sliced_service != nullptr) {
-    // Phase 1: sweep the sliced spec in abort-on-lasso mode. A range
-    // with no accepting lasso on the sliced graph has none on the full
-    // graph either (the sliced graph is its quotient), so a lasso-free
-    // sweep decides HOLDS for this database outright; otherwise the
-    // full-spec sweep resumes at the first lasso index.
-    LtlVerifyOptions sliced_opts =
-        SlicedCheckOptions(options_, *service_, property, database);
-    WSV_ASSIGN_OR_RETURN(
-        LtlDatabaseCheck sliced_check,
-        LtlDatabaseCheck::Create(sliced_service, sliced_opts, &property,
-                                 &automaton, database));
-    uint64_t sliced_product_states = 0;
-    auto marker =
-        sliced_check.CheckValuations(0, sliced_check.NumValuations(), nullptr,
-                                     &sliced_product_states);
-    if (sliced_check.truncated()) result->complete_within_bounds = false;
-    result->total_graph_nodes += sliced_check.graph_nodes();
-    result->total_product_states += sliced_product_states;
-    if (!marker.ok()) return marker.status();
-    if (!marker->has_value()) return false;  // no lasso anywhere: holds
-    sweep_begin = (**marker).valuation_index;
-  }
-
-  WSV_ASSIGN_OR_RETURN(
-      LtlDatabaseCheck check,
-      LtlDatabaseCheck::Create(service_, options_, &property, &automaton,
-                               database));
-
-  uint64_t product_states = 0;
-  auto found = check.CheckValuations(sweep_begin, check.NumValuations(),
-                                     nullptr, &product_states);
-  // Graph accounting after the sweep: in on-the-fly mode the graph is
-  // expanded (and possibly truncated) by the sweep itself.
-  if (check.truncated()) result->complete_within_bounds = false;
-  result->total_graph_nodes += check.graph_nodes();
-  result->total_product_states += product_states;
-  if (!found.ok()) return found.status();
-  if (found->has_value()) {
-    result->holds = false;
-    result->counterexample = std::move((**found).cex);
-    return true;
-  }
-  return false;
-}
-
-StatusOr<LtlVerifyResult> LtlVerifier::VerifyOnDatabase(
-    const TemporalProperty& property, const Instance& database) {
-  WSV_ASSIGN_OR_RETURN(
-      BuchiAutomaton automaton,
-      BuildNegatedAutomaton(*service_, property,
-                            options_.require_input_bounded));
-  std::unique_ptr<WebService> sliced;
-  if (analysis::SliceEnabled() && options_.enable_slice) {
-    sliced = analysis::SlicePropertyCone(*service_, property).service;
-  }
-  LtlVerifyResult result;
-  result.databases_checked = 1;
-  WSV_RETURN_IF_ERROR(
-      CheckDatabase(property, automaton, database, sliced.get(), &result)
-          .status());
-  return result;
-}
-
-StatusOr<LtlVerifyResult> LtlVerifier::Verify(
-    const TemporalProperty& property) {
-  WSV_ASSIGN_OR_RETURN(
-      BuchiAutomaton automaton,
-      BuildNegatedAutomaton(*service_, property,
-                            options_.require_input_bounded));
-  std::unique_ptr<WebService> sliced;
-  if (analysis::SliceEnabled() && options_.enable_slice) {
-    sliced = analysis::SlicePropertyCone(*service_, property).service;
-  }
-
-  DbEnumOptions db_options = options_.db;
-  for (Value v : property.formula->Literals()) {
-    db_options.base_values.push_back(v);
-  }
-
-  LtlVerifyResult result;
-  WSV_ASSIGN_OR_RETURN(
-      bool stopped,
-      EnumerateDatabases(
-          *service_, db_options,
-          [&](const Instance& db) -> StatusOr<bool> {
-            ++result.databases_checked;
-            return CheckDatabase(property, automaton, db, sliced.get(),
-                                 &result);
-          }));
-  (void)stopped;
-  return result;
 }
 
 }  // namespace wsv

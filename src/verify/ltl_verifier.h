@@ -18,12 +18,15 @@
 // constant pool), which is complete once the bounds reach the paper's
 // small-model sizes.
 //
-// The per-database work is packaged as LtlDatabaseCheck so the serial
-// verifier (below) and the parallel engine (verify/parallel.h) run the
-// *same* decision procedure: one context per candidate database, built
-// once, then a sweep over a range of closure-valuation indices. Contexts
-// are immutable after Create, so concurrent CheckValuations calls on one
-// context are safe.
+// Two layers. LtlDatabaseCheck (this file's .cc) is the per-database
+// half: one context per candidate database, built once, then a sweep over
+// a range of closure-valuation indices. Contexts are immutable after
+// Create, so concurrent CheckValuations calls on one context are safe.
+// LtlVerifier (implemented in verify/parallel.cc) is the one front end:
+// it builds the negated automaton and the property-cone slice once per
+// request, runs the two-phase per-database check (sliced probe, then the
+// full spec from the first lasso index), and schedules those checks —
+// inline on the caller's thread at one job, on a thread pool above.
 
 #ifndef WSV_VERIFY_LTL_VERIFIER_H_
 #define WSV_VERIFY_LTL_VERIFIER_H_
@@ -74,8 +77,9 @@ struct LtlVerifyOptions {
   /// configuration graph (analysis/slice.h): rules outside the
   /// property's cone of influence are dropped, configurations merge,
   /// and a full-spec re-check from the first sliced lasso keeps
-  /// verdicts and witnesses bit-identical. The CLI's `--no-slice`;
-  /// equivalent to WSV_DISABLE_SLICE=1 but scoped to this verifier.
+  /// verdicts and witnesses bit-identical. The per-request switch: the
+  /// CLI's `verify --no-slice` clears it. WSV_DISABLE_SLICE=1 in the
+  /// environment turns slicing off for every request of the process.
   bool enable_slice = true;
   /// Internal (the sliced first phase): return at the first accepting
   /// lasso — faithful or spurious — as a `lasso_only` marker instead of
@@ -313,9 +317,36 @@ class LtlDatabaseCheck {
   std::vector<std::string> leaf_fp_;
 };
 
+/// The LTL-FO verifier. One class serves every job count; only the
+/// schedule differs:
+///
+///   jobs == 1  Inline on the caller's thread: databases in enumeration
+///              order, each swept from valuation 0 upward with no stop
+///              predicate. No thread pool is created.
+///   jobs > 1   Verify: one pool task per enumerated database, with
+///              backpressure (at most 2 x jobs outstanding).
+///              VerifyOnDatabase: one shared context whose valuation
+///              index space is chunked across the pool.
+///
+/// Determinism: every job count reports the verdict and witness of the
+/// inline schedule. Counterexamples and task errors are events tagged
+/// with their database (resp. valuation) index; the lowest index wins.
+/// Cancellation only stops work above the current best index, so every
+/// index below the winner was swept violation-free first. It has three
+/// layers: the enumerator stops producing, the pool drops its queue
+/// (ThreadPool::CancelPending), and in-flight work polls the best index
+/// per expanded graph node (ConfigGraphOptions::cancel_check) and per
+/// valuation (the CheckValuations stop predicate).
+///
+/// Leaf store (LtlVerifyOptions::leaf_store): Verify never uses it, since
+/// the store context names one concrete database; VerifyOnDatabase keeps
+/// it except for a chunked on-the-fly sweep, whose chunk-local graphs
+/// number their edges by the cut.
 class LtlVerifier {
  public:
-  LtlVerifier(const WebService* service, LtlVerifyOptions options);
+  /// `jobs` <= 0 means one worker per hardware thread (ResolveJobCount).
+  LtlVerifier(const WebService* service, LtlVerifyOptions options,
+              int jobs = 1);
 
   /// Verifies over all databases within the enumeration bounds.
   StatusOr<LtlVerifyResult> Verify(const TemporalProperty& property);
@@ -325,17 +356,9 @@ class LtlVerifier {
                                              const Instance& database);
 
  private:
-  /// `sliced_service` (optional) is the property cone reduction of
-  /// service_: the check first sweeps the sliced spec in abort-on-lasso
-  /// mode and re-checks the full spec only from the first lasso index.
-  StatusOr<bool> CheckDatabase(const TemporalProperty& property,
-                               const BuchiAutomaton& automaton,
-                               const Instance& database,
-                               const WebService* sliced_service,
-                               LtlVerifyResult* result);
-
   const WebService* service_;
   LtlVerifyOptions options_;
+  int jobs_;
 };
 
 /// Whether the valuation sweep collapses equivalence classes of
@@ -398,8 +421,8 @@ std::set<std::string> TrackedPrevRelations(const WebService& service,
                                            const TemporalProperty& property);
 
 /// Validates the property for the linear-time pipeline and builds the
-/// degeneralized Büchi automaton for its negation. Shared by the serial
-/// and parallel front ends.
+/// degeneralized Büchi automaton for its negation (once per LtlVerifier
+/// request).
 StatusOr<BuchiAutomaton> BuildNegatedAutomaton(
     const WebService& service, const TemporalProperty& property,
     bool require_input_bounded);

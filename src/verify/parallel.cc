@@ -1,8 +1,15 @@
-#include "verify/parallel.h"
+// LtlVerifier, the LTL-FO front end (verify/ltl_verifier.h): the
+// Theorem 3.5 loop — for each candidate database, the sliced probe and
+// then the full-spec sweep from the first lasso index — written once and
+// run under two schedules. One job runs it inline; more jobs fan the
+// databases (Verify) or the valuation ranges (VerifyOnDatabase) over a
+// thread pool with lowest-index-wins event selection.
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -11,79 +18,283 @@
 #include "analysis/slice.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
+#include "verify/ltl_verifier.h"
 
 namespace wsv {
 
 namespace {
 
-// The winning event of a sweep: the lowest-index counterexample or task
-// error seen so far. `best_index` doubles as the cancellation signal the
-// workers poll (UINT64_MAX = no event yet); the full event payload is
-// only touched under `mu`.
+using Found = std::optional<IndexedCounterExample>;
+
+// Sweeps valuation indices [from, NumValuations()) of one context and
+// returns the lowest-index event (counterexample, or lasso marker in an
+// abort-on-lasso sweep), adding the product sizes it built to
+// `product_states`.
+using SweepFrom = std::function<StatusOr<Found>(
+    const LtlDatabaseCheck& check, uint64_t from, uint64_t* product_states)>;
+
+// What every schedule of one request shares, built once per entry point.
+struct Plan {
+  const WebService* service = nullptr;
+  const TemporalProperty* property = nullptr;
+  BuchiAutomaton automaton;
+  // The property-cone reduction of `service`; null when slicing is off
+  // or the slice is the identity.
+  std::unique_ptr<WebService> sliced;
+  // The request's options with the property's literals added to the
+  // enumerator's base values and the leaf-store rule applied.
+  LtlVerifyOptions options;
+};
+
+StatusOr<Plan> Prepare(const WebService* service,
+                       const LtlVerifyOptions& options,
+                       const TemporalProperty& property, bool enumerated,
+                       bool chunked) {
+  Plan plan;
+  plan.service = service;
+  plan.property = &property;
+  WSV_ASSIGN_OR_RETURN(plan.automaton,
+                       BuildNegatedAutomaton(*service, property,
+                                             options.require_input_bounded));
+  static const bool slice_disabled_by_env =
+      std::getenv("WSV_DISABLE_SLICE") != nullptr;
+  if (options.enable_slice && !slice_disabled_by_env) {
+    plan.sliced = analysis::SlicePropertyCone(*service, property).service;
+  }
+  plan.options = options;
+  for (Value v : property.formula->Literals()) {
+    plan.options.db.base_values.push_back(v);
+  }
+  // The leaf-store rule. Enumerated databases never use the store: its
+  // context fingerprints one concrete database, so columns would alias
+  // across the sweep. A fixed database drops it only for a chunked
+  // on-the-fly sweep, whose chunk-local lazy graphs number their edges in
+  // an order that depends on the cut; the eager graph's edge order is
+  // fixed at Create whatever the cut.
+  if (enumerated || (chunked && OnTheFlyEnabled() && !options.force_eager)) {
+    plan.options.leaf_store = nullptr;
+  }
+  return plan;
+}
+
+// One candidate database. With a slice, phase 1 sweeps the sliced spec in
+// abort-on-lasso mode: a range with no accepting lasso on the sliced
+// graph has none on the full graph either (the sliced graph is its
+// quotient), so a lasso-free probe decides HOLDS outright; otherwise
+// phase 2 sweeps the full spec from the first lasso index. Graph and
+// product sizes accumulate into `totals` whatever the outcome.
+StatusOr<Found> CheckDatabase(const Plan& plan, const LtlVerifyOptions& opts,
+                              const Instance& database,
+                              const SweepFrom& sweep, LtlVerifyResult* totals) {
+  auto sweep_and_tally = [&](const LtlDatabaseCheck& check, uint64_t from) {
+    StatusOr<Found> found =
+        sweep(check, from, &totals->total_product_states);
+    // After the sweep: on-the-fly graphs are expanded (and possibly
+    // truncated) by the sweep itself.
+    totals->total_graph_nodes += check.graph_nodes();
+    if (check.truncated()) totals->complete_within_bounds = false;
+    return found;
+  };
+  uint64_t from = 0;
+  if (plan.sliced != nullptr) {
+    WSV_ASSIGN_OR_RETURN(
+        LtlDatabaseCheck probe,
+        LtlDatabaseCheck::Create(
+            plan.sliced.get(),
+            SlicedCheckOptions(opts, *plan.service, *plan.property, database),
+            plan.property, &plan.automaton, database));
+    WSV_ASSIGN_OR_RETURN(Found marker, sweep_and_tally(probe, 0));
+    if (!marker.has_value()) return Found();
+    from = marker->valuation_index;
+  }
+  WSV_ASSIGN_OR_RETURN(LtlDatabaseCheck check,
+                       LtlDatabaseCheck::Create(plan.service, opts,
+                                                plan.property,
+                                                &plan.automaton, database));
+  return sweep_and_tally(check, from);
+}
+
+// The inline schedule's sweep: the whole range on the caller's thread.
+StatusOr<Found> SweepInline(const LtlDatabaseCheck& check, uint64_t from,
+                            uint64_t* product_states) {
+  return check.CheckValuations(from, check.NumValuations(), nullptr,
+                               product_states);
+}
+
+// The winning event of a pooled sweep: the lowest-index counterexample
+// (or marker) or task error seen so far. `best_index` doubles as the
+// cancellation signal the workers poll (UINT64_MAX = no event yet); the
+// payload is only touched under `mu`.
 struct EventBoard {
   std::mutex mu;
   std::atomic<uint64_t> best_index{UINT64_MAX};
-  bool is_error = false;
-  Status error = Status::OK();
-  std::optional<CounterExample> cex;
-  // When the first event landed (for time-to-first-counterexample and
+  Status error = Status::OK();  // non-OK: the winner is a task error
+  Found event;
+  // When the first event landed (time-to-first-counterexample and
   // cancellation-drain telemetry). 0 = no event yet.
   uint64_t first_event_ns = 0;
 
+  bool Below(uint64_t index) const {
+    return best_index.load(std::memory_order_relaxed) < index;
+  }
+
   // Installs the event if it beats the current best. Returns true if it
   // won (callers then cancel work that can no longer win).
-  bool Record(uint64_t index, bool is_err, Status st,
-              std::optional<CounterExample> c) {
+  bool Record(uint64_t index, Status st, Found e) {
     std::lock_guard<std::mutex> lock(mu);
     if (index >= best_index.load(std::memory_order_relaxed)) return false;
     if (first_event_ns == 0) first_event_ns = WSV_OBS_NOW();
     best_index.store(index, std::memory_order_relaxed);
-    is_error = is_err;
     error = std::move(st);
-    cex = std::move(c);
+    event = std::move(e);
     return true;
+  }
+
+  // Call after the pool drained. Lasso markers are not counterexamples,
+  // so they record no latency.
+  StatusOr<Found> Finish([[maybe_unused]] uint64_t request_start_ns) {
+    if (best_index.load() == UINT64_MAX) return Found();
+    if (!(event.has_value() && event->lasso_only)) {
+      if (error.ok()) {
+        WSV_HIST("verify/time_to_first_cex_ns",
+                 first_event_ns - request_start_ns);
+      }
+      // How long in-flight work took to drain after the winner was known
+      // — the latency the three-layer cancellation keeps small.
+      WSV_HIST("verify/cancel_drain_ns", WSV_OBS_NOW() - first_event_ns);
+    }
+    if (!error.ok()) return error;
+    return std::move(event);
   }
 };
 
+// The pooled VerifyOnDatabase sweep: [from, n) cut into contiguous
+// chunks, lowest index wins. The context is immutable; chunks share it
+// freely. Each chunk keeps its own FO-leaf memo and valuation-class table
+// (call-local state in CheckValuations), so chunking trades collapse for
+// balance: with class collapsing on, one shard per worker maximizes the
+// per-shard collapse rate (and repeats cost next to nothing, so imbalance
+// matters little); with the naive sweep forced, oversubscribe 4x so
+// uneven valuation costs load-balance. Work counters sum exactly across
+// shards either way — only the per-shard split (memo hits vs misses,
+// classes vs hits) depends on the cut. Chunks below the lowest marker
+// ran to completion without one, so in the sliced probe that marker is
+// exactly the first index with an accepting lasso.
+StatusOr<Found> SweepChunked(ThreadPool& pool, uint64_t request_start_ns,
+                             const LtlDatabaseCheck& check, uint64_t from,
+                             uint64_t* product_states) {
+  const uint64_t n = check.NumValuations();
+  if (from >= n) return Found();
+  const uint64_t range = n - from;
+  const uint64_t num_chunks = std::min<uint64_t>(
+      range, pool.num_threads() * (ClassCollapseEnabled() ? 1 : 4));
+  const uint64_t chunk = (range + num_chunks - 1) / num_chunks;
+  EventBoard board;
+  // Valuation i can no longer win once an event at or below it exists.
+  auto decided = [&board](uint64_t i) {
+    return board.best_index.load(std::memory_order_relaxed) <= i;
+  };
+  std::mutex states_mu;
+  uint64_t states = 0;  // guarded by states_mu
+  for (uint64_t begin = from; begin < n; begin += chunk) {
+    const uint64_t end = std::min(n, begin + chunk);
+    WSV_COUNT1("verify/valuation_chunks");
+    pool.Submit([&, begin, end] {
+      if (decided(begin)) return;
+      uint64_t chunk_states = 0;
+      auto found_or = check.CheckValuations(begin, end, decided, &chunk_states);
+      {
+        std::lock_guard<std::mutex> lock(states_mu);
+        states += chunk_states;
+      }
+      bool won = false;
+      if (!found_or.ok()) {
+        // Key the error by the chunk's first index (a lower bound on
+        // where it occurred).
+        if (found_or.status().code() != StatusCode::kCancelled) {
+          won = board.Record(begin, found_or.status(), Found());
+        }
+      } else if (found_or->has_value()) {
+        const uint64_t index = (**found_or).valuation_index;
+        won = board.Record(index, Status::OK(), std::move(*found_or));
+      }
+      if (won) {
+        WSV_COUNT1("verify/cancellations_signalled");
+        pool.CancelPending();
+      }
+    });
+  }
+  pool.Wait();
+  *product_states += states;
+  return board.Finish(request_start_ns);
+}
+
 }  // namespace
 
-ParallelLtlVerifier::ParallelLtlVerifier(const WebService* service,
-                                         LtlVerifyOptions options, int jobs)
+LtlVerifier::LtlVerifier(const WebService* service, LtlVerifyOptions options,
+                         int jobs)
     : service_(service),
       options_(std::move(options)),
       jobs_(ResolveJobCount(jobs)) {}
 
-StatusOr<LtlVerifyResult> ParallelLtlVerifier::Verify(
+StatusOr<LtlVerifyResult> LtlVerifier::VerifyOnDatabase(
+    const TemporalProperty& property, const Instance& database) {
+  const uint64_t start_ns = WSV_OBS_NOW();
+  const bool chunked = jobs_ > 1;
+  WSV_ASSIGN_OR_RETURN(Plan plan, Prepare(service_, options_, property,
+                                          /*enumerated=*/false, chunked));
+  LtlVerifyResult result;
+  result.databases_checked = 1;
+  StatusOr<Found> found = Found();
+  if (!chunked) {
+    found = CheckDatabase(plan, plan.options, database, SweepInline, &result);
+  } else {
+    WSV_SPAN("verify/parallel_db_sweep");
+    ThreadPool pool(jobs_);
+    found = CheckDatabase(
+        plan, plan.options, database,
+        [&pool, start_ns](const LtlDatabaseCheck& check, uint64_t from,
+                          uint64_t* product_states) {
+          return SweepChunked(pool, start_ns, check, from, product_states);
+        },
+        &result);
+  }
+  if (!found.ok()) return found.status();
+  if (found->has_value()) {
+    result.holds = false;
+    result.counterexample = std::move((**found).cex);
+  }
+  return result;
+}
+
+StatusOr<LtlVerifyResult> LtlVerifier::Verify(
     const TemporalProperty& property) {
+  const uint64_t start_ns = WSV_OBS_NOW();
+  WSV_ASSIGN_OR_RETURN(Plan plan, Prepare(service_, options_, property,
+                                          /*enumerated=*/true,
+                                          /*chunked=*/false));
+  LtlVerifyResult result;
   if (jobs_ == 1) {
-    return LtlVerifier(service_, options_).Verify(property);
+    WSV_RETURN_IF_ERROR(
+        EnumerateDatabases(
+            *service_, plan.options.db,
+            [&](const Instance& db) -> StatusOr<bool> {
+              ++result.databases_checked;
+              WSV_ASSIGN_OR_RETURN(Found found,
+                                   CheckDatabase(plan, plan.options, db,
+                                                 SweepInline, &result));
+              if (!found.has_value()) return false;
+              result.holds = false;
+              result.counterexample = std::move(found->cex);
+              return true;
+            })
+            .status());
+    return result;
   }
+
   WSV_SPAN("verify/parallel_sweep");
-  [[maybe_unused]] const uint64_t sweep_start = WSV_OBS_NOW();
-
-  WSV_ASSIGN_OR_RETURN(
-      BuchiAutomaton automaton,
-      BuildNegatedAutomaton(*service_, property,
-                            options_.require_input_bounded));
-
-  // Property cone reduction, shared by every per-database task: each
-  // task sweeps the sliced spec first (abort-on-lasso) and re-checks
-  // the full spec only from the first lasso index (see ltl_verifier.h).
-  std::unique_ptr<WebService> sliced;
-  if (analysis::SliceEnabled() && options_.enable_slice) {
-    sliced = analysis::SlicePropertyCone(*service_, property).service;
-  }
-
-  DbEnumOptions db_options = options_.db;
-  for (Value v : property.formula->Literals()) {
-    db_options.base_values.push_back(v);
-  }
-
   EventBoard board;
   std::mutex stats_mu;
-  uint64_t total_graph_nodes = 0;
-  uint64_t total_product_states = 0;
-  bool complete = true;
 
   // Backpressure: the enumerator runs far ahead of the workers, so cap
   // the number of submitted-but-unfinished tasks to keep memory (each
@@ -95,12 +306,8 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::Verify(
 
   ThreadPool pool(jobs_);
 
-  auto cancelled_below = [&board](uint64_t d) {
-    return board.best_index.load(std::memory_order_relaxed) < d;
-  };
-  auto record = [&](uint64_t d, bool is_err, Status st,
-                    std::optional<CounterExample> c) {
-    if (board.Record(d, is_err, std::move(st), std::move(c))) {
+  auto record = [&](uint64_t d, Status st, Found e) {
+    if (board.Record(d, std::move(st), std::move(e))) {
       WSV_COUNT1("verify/cancellations_signalled");
       size_t dropped = pool.CancelPending();
       if (dropped > 0) {
@@ -113,10 +320,10 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::Verify(
 
   uint64_t db_index = 0;
   auto enum_result = EnumerateDatabases(
-      *service_, db_options,
+      *service_, plan.options.db,
       [&](const Instance& db) -> StatusOr<bool> {
         const uint64_t d = db_index++;
-        if (cancelled_below(d)) {
+        if (board.Below(d)) {
           WSV_COUNT1("verify/dbs_pruned_by_cancel");
           return true;  // stop enumerating
         }
@@ -127,7 +334,7 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::Verify(
                    board.best_index.load(std::memory_order_relaxed) !=
                        UINT64_MAX;
           });
-          if (cancelled_below(d)) return true;
+          if (board.Below(d)) return true;
           ++outstanding;
         }
         // The enumerator reuses its instance buffer, so the task gets a
@@ -146,276 +353,56 @@ StatusOr<LtlVerifyResult> ParallelLtlVerifier::Verify(
               cv.notify_all();
             }
           } guard{slot_mu, outstanding, slot_cv};
-          if (cancelled_below(d)) return;
+          if (board.Below(d)) return;
 
-          LtlVerifyOptions opts = options_;
-          // The leaf-column store context cannot bind an enumerated
-          // database's identity (the caller fingerprints one concrete
-          // database), so persisted columns would alias across the
-          // sweep. Drop the store here; enumerated verifies always
-          // evaluate leaves fresh.
-          opts.leaf_store = nullptr;
-          opts.graph.cancel_check = [&board, d] {
-            return board.best_index.load(std::memory_order_relaxed) < d;
-          };
-
-          uint64_t sweep_begin = 0;
-          if (sliced != nullptr) {
-            // Phase 1: the sliced spec in abort-on-lasso mode. Lasso-
-            // free means this database holds (the sliced graph is a
-            // quotient of the full one); otherwise the full sweep
-            // resumes at the marker index.
-            LtlVerifyOptions sliced_opts =
-                SlicedCheckOptions(opts, *service_, property, *db_copy);
-            auto sliced_or = LtlDatabaseCheck::Create(
-                sliced.get(), sliced_opts, &property, &automaton, *db_copy);
-            if (!sliced_or.ok()) {
-              if (sliced_or.status().code() != StatusCode::kCancelled) {
-                record(d, true, sliced_or.status(), std::nullopt);
-              }
-              return;
-            }
-            uint64_t sliced_product_states = 0;
-            auto marker_or = sliced_or->CheckValuations(
-                0, sliced_or->NumValuations(),
-                [&board, d](uint64_t) {
-                  return board.best_index.load(std::memory_order_relaxed) < d;
-                },
-                &sliced_product_states);
-            {
-              std::lock_guard<std::mutex> lock(stats_mu);
-              total_graph_nodes += sliced_or->graph_nodes();
-              total_product_states += sliced_product_states;
-              if (sliced_or->truncated()) complete = false;
-            }
-            if (!marker_or.ok()) {
-              if (marker_or.status().code() != StatusCode::kCancelled) {
-                record(d, true, marker_or.status(), std::nullopt);
-              }
-              return;
-            }
-            if (!marker_or->has_value()) return;  // holds on this database
-            sweep_begin = (**marker_or).valuation_index;
-          }
-
-          auto check_or = LtlDatabaseCheck::Create(service_, opts, &property,
-                                                   &automaton, *db_copy);
-          if (!check_or.ok()) {
-            if (check_or.status().code() != StatusCode::kCancelled) {
-              record(d, true, check_or.status(), std::nullopt);
-            }
-            return;
-          }
-          uint64_t product_states = 0;
-          auto found_or = check_or->CheckValuations(
-              sweep_begin, check_or->NumValuations(),
-              [&board, d](uint64_t) {
-                return board.best_index.load(std::memory_order_relaxed) < d;
+          // Work on this database can no longer win once a lower index
+          // has an event: stop per expanded node and per valuation.
+          auto lost = [&board, d] { return board.Below(d); };
+          LtlVerifyOptions opts = plan.options;
+          opts.graph.cancel_check = lost;
+          LtlVerifyResult totals;
+          StatusOr<Found> found = CheckDatabase(
+              plan, opts, *db_copy,
+              [&lost](const LtlDatabaseCheck& check, uint64_t from,
+                      uint64_t* product_states) {
+                return check.CheckValuations(
+                    from, check.NumValuations(),
+                    [&lost](uint64_t) { return lost(); }, product_states);
               },
-              &product_states);
+              &totals);
           {
             std::lock_guard<std::mutex> lock(stats_mu);
-            total_graph_nodes += check_or->graph_nodes();
-            total_product_states += product_states;
-            if (check_or->truncated()) complete = false;
-          }
-          if (!found_or.ok()) {
-            if (found_or.status().code() != StatusCode::kCancelled) {
-              record(d, true, found_or.status(), std::nullopt);
+            result.total_graph_nodes += totals.total_graph_nodes;
+            result.total_product_states += totals.total_product_states;
+            if (!totals.complete_within_bounds) {
+              result.complete_within_bounds = false;
             }
-            return;
           }
-          if (found_or->has_value()) {
-            record(d, false, Status::OK(), std::move((**found_or).cex));
+          if (!found.ok()) {
+            if (found.status().code() != StatusCode::kCancelled) {
+              record(d, found.status(), Found());
+            }
+          } else if (found->has_value()) {
+            record(d, Status::OK(), std::move(*found));
           }
         });
         return false;
       });
   pool.Wait();
-  if (board.first_event_ns != 0) {
-    if (!board.is_error) {
-      WSV_HIST("verify/time_to_first_cex_ns",
-               board.first_event_ns - sweep_start);
-    }
-    // How long in-flight work took to drain after the winner was known —
-    // the latency the three-layer cancellation is supposed to keep small.
-    WSV_HIST("verify/cancel_drain_ns", WSV_OBS_NOW() - board.first_event_ns);
-  }
 
-  LtlVerifyResult result;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu);
-    result.total_graph_nodes = total_graph_nodes;
-    result.total_product_states = total_product_states;
-    result.complete_within_bounds = complete;
-  }
   const uint64_t best = board.best_index.load();
-  if (best != UINT64_MAX) {
-    if (board.is_error) return board.error;
+  WSV_ASSIGN_OR_RETURN(Found winner, board.Finish(start_ns));
+  if (winner.has_value()) {
     result.holds = false;
-    result.counterexample = std::move(board.cex);
-    // What the serial sweep would have visited before stopping.
+    result.counterexample = std::move(winner->cex);
+    // What the inline sweep would have visited before stopping.
     result.databases_checked = best + 1;
     return result;
   }
   // No event anywhere: an enumerator failure (e.g. the instance cap) is
-  // the outcome, exactly as in the serial verifier.
+  // the outcome, exactly as in the inline schedule.
   if (!enum_result.ok()) return enum_result.status();
   result.databases_checked = db_index;
-  return result;
-}
-
-StatusOr<LtlVerifyResult> ParallelLtlVerifier::VerifyOnDatabase(
-    const TemporalProperty& property, const Instance& database) {
-  if (jobs_ == 1) {
-    return LtlVerifier(service_, options_).VerifyOnDatabase(property,
-                                                            database);
-  }
-  WSV_SPAN("verify/parallel_db_sweep");
-  [[maybe_unused]] const uint64_t sweep_start = WSV_OBS_NOW();
-
-  WSV_ASSIGN_OR_RETURN(
-      BuchiAutomaton automaton,
-      BuildNegatedAutomaton(*service_, property,
-                            options_.require_input_bounded));
-  LtlVerifyOptions opts = options_;
-  // Chunked on-the-fly sweeps expand chunk-local lazy graphs whose edge
-  // order depends on the visited range, so persisted columns from one
-  // cut would be garbage under another. The sweep itself refuses
-  // partial-range stores, but gate here too so the intent is explicit:
-  // only the eager engine (fixed edge order from Create) shares columns
-  // across chunked sweeps.
-  if (OnTheFlyEnabled() && !opts.force_eager) opts.leaf_store = nullptr;
-
-  LtlVerifyResult result;
-  result.databases_checked = 1;
-  std::mutex stats_mu;
-  uint64_t total_product_states = 0;
-
-  // One chunked sweep of [from, n) over `chk`, lowest-index-wins on
-  // `board`. The context is immutable; chunks share it freely. Each
-  // chunk's sweep keeps its own FO-leaf memo and valuation-class table
-  // (call-local state in CheckValuations), so chunking trades collapse
-  // for balance: with class collapsing on, one
-  // contiguous shard per worker maximizes the per-shard collapse rate
-  // (and repeats cost next to nothing, so imbalance matters little);
-  // with the naive sweep forced, oversubscribe 4x so uneven valuation
-  // costs load-balance. Work counters sum exactly across shards either
-  // way — only the per-shard split (memo hits vs misses, classes vs
-  // hits) depends on the cut.
-  auto run_chunked = [&](const LtlDatabaseCheck& chk, uint64_t from,
-                         EventBoard& board) {
-    const uint64_t n = chk.NumValuations();
-    if (from >= n) return;
-    const uint64_t range = n - from;
-    const uint64_t num_chunks = std::min<uint64_t>(
-        range,
-        static_cast<uint64_t>(jobs_) * (ClassCollapseEnabled() ? 1 : 4));
-    const uint64_t chunk = (range + num_chunks - 1) / num_chunks;
-    ThreadPool pool(jobs_);
-    for (uint64_t begin = from; begin < n; begin += chunk) {
-      const uint64_t end = std::min(n, begin + chunk);
-      WSV_COUNT1("verify/valuation_chunks");
-      pool.Submit([&, begin, end] {
-        if (board.best_index.load(std::memory_order_relaxed) <= begin) {
-          return;
-        }
-        uint64_t product_states = 0;
-        auto found_or = chk.CheckValuations(
-            begin, end,
-            [&board](uint64_t i) {
-              return board.best_index.load(std::memory_order_relaxed) <= i;
-            },
-            &product_states);
-        {
-          std::lock_guard<std::mutex> lock(stats_mu);
-          total_product_states += product_states;
-        }
-        if (!found_or.ok()) {
-          if (found_or.status().code() != StatusCode::kCancelled) {
-            // Key the error by the chunk's first index (a lower bound on
-            // where it occurred).
-            if (board.Record(begin, true, found_or.status(), std::nullopt)) {
-              WSV_COUNT1("verify/cancellations_signalled");
-              pool.CancelPending();
-            }
-          }
-          return;
-        }
-        if (found_or->has_value()) {
-          if (board.Record((**found_or).valuation_index, false, Status::OK(),
-                           std::move((**found_or).cex))) {
-            WSV_COUNT1("verify/cancellations_signalled");
-            pool.CancelPending();
-          }
-        }
-      });
-    }
-    pool.Wait();
-  };
-
-  // Phase 1 (when slicing applies): chunked abort-on-lasso sweep of the
-  // sliced spec. The lowest marker index is exactly the first index
-  // with an accepting lasso — chunks below it ran to completion without
-  // one — so the full-spec phase resumes there; no marker anywhere
-  // decides HOLDS outright.
-  uint64_t sweep_begin = 0;
-  std::unique_ptr<WebService> sliced;
-  if (analysis::SliceEnabled() && options_.enable_slice) {
-    sliced = analysis::SlicePropertyCone(*service_, property).service;
-  }
-  if (sliced != nullptr) {
-    LtlVerifyOptions sliced_opts =
-        SlicedCheckOptions(opts, *service_, property, database);
-    WSV_ASSIGN_OR_RETURN(
-        LtlDatabaseCheck sliced_check,
-        LtlDatabaseCheck::Create(sliced.get(), sliced_opts, &property,
-                                 &automaton, database));
-    EventBoard marker_board;
-    run_chunked(sliced_check, 0, marker_board);
-    result.total_graph_nodes += sliced_check.graph_nodes();
-    if (sliced_check.truncated()) result.complete_within_bounds = false;
-    if (marker_board.best_index.load() != UINT64_MAX) {
-      if (marker_board.is_error) return marker_board.error;
-      sweep_begin = marker_board.best_index.load();
-    } else {
-      result.total_product_states = total_product_states;
-      return result;  // lasso-free everywhere: holds
-    }
-  }
-
-  WSV_ASSIGN_OR_RETURN(
-      LtlDatabaseCheck check,
-      LtlDatabaseCheck::Create(service_, opts, &property, &automaton,
-                               database));
-
-  const uint64_t n = check.NumValuations();
-  if (n == 0) {
-    result.total_graph_nodes += check.graph_nodes();
-    if (check.truncated()) result.complete_within_bounds = false;
-    return result;
-  }
-
-  EventBoard board;
-  run_chunked(check, sweep_begin, board);
-  if (board.first_event_ns != 0) {
-    if (!board.is_error) {
-      WSV_HIST("verify/time_to_first_cex_ns",
-               board.first_event_ns - sweep_start);
-    }
-    WSV_HIST("verify/cancel_drain_ns", WSV_OBS_NOW() - board.first_event_ns);
-  }
-
-  // Graph accounting after the sweeps: in on-the-fly mode the graphs are
-  // expanded (and possibly truncated) by the per-shard sweeps.
-  result.total_graph_nodes += check.graph_nodes();
-  if (check.truncated()) result.complete_within_bounds = false;
-  result.total_product_states = total_product_states;
-  if (board.best_index.load() != UINT64_MAX) {
-    if (board.is_error) return board.error;
-    result.holds = false;
-    result.counterexample = std::move(board.cex);
-  }
   return result;
 }
 

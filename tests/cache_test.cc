@@ -23,7 +23,6 @@
 #include "ltl/ltl_parser.h"
 #include "obs/metrics.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 #include "ws/data_parser.h"
 #include "ws/spec_parser.h"
 

@@ -16,7 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "verify/parallel.h"
+#include "verify/ltl_verifier.h"
 
 namespace wsv {
 namespace {
@@ -335,7 +335,7 @@ TEST(CounterEquality, LoginEnumerationSweep) {
 
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier serial(&service, options, 1);
+    LtlVerifier serial(&service, options, 1);
     auto r = serial.Verify(*prop);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);
@@ -347,7 +347,7 @@ TEST(CounterEquality, LoginEnumerationSweep) {
 
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier parallel(&service, options, 4);
+    LtlVerifier parallel(&service, options, 4);
     auto r = parallel.Verify(*prop);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);
@@ -379,7 +379,7 @@ TEST(CounterEquality, ClearLoopService) {
 
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier serial(&service, options, 1);
+    LtlVerifier serial(&service, options, 1);
     auto r = serial.VerifyOnDatabase(*prop, db);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);
@@ -388,7 +388,7 @@ TEST(CounterEquality, ClearLoopService) {
 
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier parallel(&service, options, 4);
+    LtlVerifier parallel(&service, options, 4);
     auto r = parallel.VerifyOnDatabase(*prop, db);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);
@@ -433,7 +433,7 @@ TEST(CounterEquality, EcommerceValuationSweep) {
 
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier serial(&service, options, 1);
+    LtlVerifier serial(&service, options, 1);
     auto r = serial.VerifyOnDatabase(*prop, db);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);
@@ -445,7 +445,7 @@ TEST(CounterEquality, EcommerceValuationSweep) {
 
   obs::ResetMetrics();
   {
-    ParallelLtlVerifier parallel(&service, options, 4);
+    LtlVerifier parallel(&service, options, 4);
     auto r = parallel.VerifyOnDatabase(*prop, db);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->holds);

@@ -23,7 +23,6 @@
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 #include "verify/witness_check.h"
 
 namespace wsv {
@@ -79,7 +78,7 @@ void ExpectEnginesAgree(const WebService& service,
                         const std::string& what) {
   ExpectEquivalent(service, property, db, options, what);
   auto r_serial = LtlVerifier(&service, options).VerifyOnDatabase(property, db);
-  ParallelLtlVerifier parallel(&service, options, /*jobs=*/2);
+  LtlVerifier parallel(&service, options, /*jobs=*/2);
   auto r_parallel = parallel.VerifyOnDatabase(property, db);
   ASSERT_EQ(r_serial.ok(), r_parallel.ok())
       << what << ": serial=" << r_serial.status().ToString()
@@ -221,7 +220,7 @@ TEST_F(LoginOtfTest, ParallelJobsAgreeWithSerial) {
   ASSERT_TRUE(p.ok());
   std::string cex1, cex4;
   {
-    ParallelLtlVerifier verifier(&service_, options_, /*jobs=*/1);
+    LtlVerifier verifier(&service_, options_, /*jobs=*/1);
     auto r = verifier.VerifyOnDatabase(*p, db_);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_FALSE(r->holds);
@@ -231,7 +230,7 @@ TEST_F(LoginOtfTest, ParallelJobsAgreeWithSerial) {
     cex1 = r->counterexample->ToString();
   }
   {
-    ParallelLtlVerifier verifier(&service_, options_, /*jobs=*/4);
+    LtlVerifier verifier(&service_, options_, /*jobs=*/4);
     auto r = verifier.VerifyOnDatabase(*p, db_);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_FALSE(r->holds);

@@ -1,9 +1,10 @@
-// The parallel verification engine (verify/parallel.h) and its thread
-// pool. The load-bearing property is determinism: at any job count the
-// engine must report exactly the serial verifier's verdict and witness,
-// so most tests here are serial-vs-parallel equality checks over the
-// gallery services, plus direct unit tests of the pool and of the
-// cancellation plumbing.
+// The LTL verifier's schedules (verify/ltl_verifier.h, implemented in
+// verify/parallel.cc) and the thread pool. The load-bearing property is
+// determinism: at any job count the verifier must report exactly the
+// inline (one-job) schedule's verdict and witness, so most tests here are
+// jobs-1-vs-jobs-4 equality checks over the gallery services, plus direct
+// unit tests of the pool, the cancellation plumbing and the leaf-store
+// rule.
 
 #include <gtest/gtest.h>
 
@@ -11,15 +12,18 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
 #include "ltl/run_semantics.h"
 #include "verify/config_graph.h"
+#include "verify/leaf_store.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 #include "verify/witness_check.h"
 #include "ws/builder.h"
 
@@ -115,7 +119,7 @@ class ParallelLoginTest : public ::testing::Test {
     EXPECT_TRUE(p.ok()) << p.status().ToString();
     auto serial = LtlVerifier(&service_, options_).VerifyOnDatabase(*p, db_);
     auto par =
-        ParallelLtlVerifier(&service_, options_, 4).VerifyOnDatabase(*p, db_);
+        LtlVerifier(&service_, options_, 4).VerifyOnDatabase(*p, db_);
     EXPECT_TRUE(serial.ok()) << serial.status().ToString();
     EXPECT_TRUE(par.ok()) << par.status().ToString();
     EXPECT_EQ(serial->holds, par->holds) << prop;
@@ -188,7 +192,7 @@ TEST_F(ParallelLoginTest, EnumeratedDatabaseSweepAgrees) {
   auto p = ParseTemporalProperty("G(!CP)", &service_.vocab());
   ASSERT_TRUE(p.ok());
   auto serial = LtlVerifier(&service_, options).Verify(*p);
-  auto par = ParallelLtlVerifier(&service_, options, 4).Verify(*p);
+  auto par = LtlVerifier(&service_, options, 4).Verify(*p);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(par.ok()) << par.status().ToString();
   ASSERT_FALSE(serial->holds);
@@ -210,12 +214,114 @@ TEST_F(ParallelLoginTest, HoldingEnumeratedSweepAgrees) {
                                  &service_.vocab());
   ASSERT_TRUE(p.ok());
   auto serial = LtlVerifier(&service_, options).Verify(*p);
-  auto par = ParallelLtlVerifier(&service_, options, 4).Verify(*p);
+  auto par = LtlVerifier(&service_, options, 4).Verify(*p);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(par.ok()) << par.status().ToString();
   EXPECT_EQ(serial->holds, par->holds);
   // With no winner, every enumerated database was checked on both sides.
   EXPECT_EQ(serial->databases_checked, par->databases_checked);
+}
+
+// An in-memory leaf-column store that counts its traffic.
+class CountingLeafStore : public LeafColumnStore {
+ public:
+  bool Lookup(const std::string& key, std::vector<uint64_t>* set_bits,
+              uint64_t* upto) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++lookups_;
+    auto it = cols_.find(key);
+    if (it == cols_.end()) return false;
+    *set_bits = it->second.first;
+    *upto = it->second.second;
+    return true;
+  }
+  void Publish(const std::string& key, const std::vector<uint64_t>& set_bits,
+               uint64_t upto) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++publishes_;
+    auto& col = cols_[key];
+    if (upto >= col.second) col = {set_bits, upto};
+  }
+  int lookups() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return lookups_;
+  }
+  int publishes() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return publishes_;
+  }
+
+ private:
+  std::mutex mu_;
+  int lookups_ = 0;
+  int publishes_ = 0;
+  std::map<std::string, std::pair<std::vector<uint64_t>, uint64_t>> cols_;
+};
+
+// The store context names one concrete database, so an enumerated sweep
+// must never touch the store: a column published for one database would
+// answer for the next one and turn these VIOLATED verdicts into HOLDS.
+TEST_F(ParallelLoginTest, EnumeratedSweepNeverUsesLeafStore) {
+  LtlVerifyOptions options;
+  options.db.fresh_values = 1;
+  options.db.max_tuples_per_relation = 2;
+  options.graph.constant_pool = {V("d0")};
+  options.require_input_bounded = false;
+  for (const char* text : {"G(!(exists x, y . user(x, y)) | F BYE)",
+                           "forall u, p . G(!(user(u, p) & MP))"}) {
+    auto p = ParseTemporalProperty(text, &service_.vocab());
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    for (bool eager : {false, true}) {
+      for (int jobs : {1, 4}) {
+        SCOPED_TRACE(std::string(text) + (eager ? " eager" : " otf") +
+                     " jobs=" + std::to_string(jobs));
+        LtlVerifyOptions plain = options;
+        plain.force_eager = eager;
+        auto expected = LtlVerifier(&service_, plain, jobs).Verify(*p);
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        EXPECT_FALSE(expected->holds);
+
+        CountingLeafStore store;
+        LtlVerifyOptions stored = plain;
+        stored.leaf_store = &store;
+        stored.leaf_store_context = "ctx";
+        auto got = LtlVerifier(&service_, stored, jobs).Verify(*p);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->holds, expected->holds);
+        EXPECT_EQ(got->databases_checked, expected->databases_checked);
+        ASSERT_EQ(got->counterexample.has_value(),
+                  expected->counterexample.has_value());
+        if (got->counterexample.has_value()) {
+          EXPECT_EQ(got->counterexample->ToString(),
+                    expected->counterexample->ToString());
+        }
+        EXPECT_EQ(store.lookups(), 0);
+        EXPECT_EQ(store.publishes(), 0);
+      }
+    }
+  }
+}
+
+// A fixed database keeps the store on the inline schedule and drops it
+// only for a chunked on-the-fly sweep.
+TEST_F(ParallelLoginTest, FixedDatabaseLeafStoreRule) {
+  auto p = ParseTemporalProperty("G(!MP)", &service_.vocab());
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  for (int jobs : {1, 4}) {
+    CountingLeafStore store;
+    LtlVerifyOptions stored = options_;
+    stored.leaf_store = &store;
+    stored.leaf_store_context = "ctx";
+    auto r = LtlVerifier(&service_, stored, jobs).VerifyOnDatabase(*p, db_);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r->holds);
+    if (jobs == 1) {
+      EXPECT_GT(store.publishes(), 0);
+    } else if (OnTheFlyEnabled()) {
+      EXPECT_EQ(store.lookups(), 0);
+      EXPECT_EQ(store.publishes(), 0);
+    }
+  }
 }
 
 TEST(ParallelEcommerceTest, PaperPropertiesAgree) {
@@ -231,7 +337,7 @@ TEST(ParallelEcommerceTest, PaperPropertiesAgree) {
     auto p = ParseTemporalProperty("G(!PIP) | F(PIP & F(CC))", &ws->vocab());
     ASSERT_TRUE(p.ok());
     auto serial = LtlVerifier(&*ws, options).VerifyOnDatabase(*p, db);
-    auto par = ParallelLtlVerifier(&*ws, options, 4).VerifyOnDatabase(*p, db);
+    auto par = LtlVerifier(&*ws, options, 4).VerifyOnDatabase(*p, db);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     ASSERT_TRUE(par.ok()) << par.status().ToString();
     ASSERT_FALSE(serial->holds);
@@ -252,7 +358,7 @@ TEST(ParallelEcommerceTest, PaperPropertiesAgree) {
         &ws->vocab());
     ASSERT_TRUE(p.ok()) << p.status().ToString();
     auto serial = LtlVerifier(&*ws, closure_options).VerifyOnDatabase(*p, db);
-    auto par = ParallelLtlVerifier(&*ws, closure_options, 4)
+    auto par = LtlVerifier(&*ws, closure_options, 4)
                    .VerifyOnDatabase(*p, db);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     ASSERT_TRUE(par.ok()) << par.status().ToString();

@@ -6,7 +6,7 @@
 // same databases_checked — for every property, not just the gallery
 // ones. This suite hammers that contract with seeded random temporal
 // properties over three gallery services, comparing a normal (sliced)
-// run against a ScopedDisableSlice run of the same request, and runs
+// run against an enable_slice = false run of the same request, and runs
 // every violated sliced verdict through the independent witness checker.
 //
 // The generator is deliberately ground (no closure variables): quantified
@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/slice.h"
 #include "gallery/gallery.h"
 #include "ltl/ltl_parser.h"
 #include "verify/ltl_verifier.h"
@@ -135,12 +134,10 @@ void ExpectSlicedRunIdentical(const Fixture& f,
   auto sliced = verifier.VerifyOnDatabase(property, f.db);
   ASSERT_TRUE(sliced.ok()) << text << ": " << sliced.status().message();
 
-  StatusOr<LtlVerifyResult> unsliced = Status::Internal("unset");
-  {
-    analysis::ScopedDisableSlice off;
-    LtlVerifier plain(&f.service, f.options);
-    unsliced = plain.VerifyOnDatabase(property, f.db);
-  }
+  LtlVerifyOptions unsliced_options = f.options;
+  unsliced_options.enable_slice = false;
+  auto unsliced = LtlVerifier(&f.service, unsliced_options)
+                      .VerifyOnDatabase(property, f.db);
   ASSERT_TRUE(unsliced.ok()) << text << ": " << unsliced.status().message();
 
   EXPECT_EQ(sliced->holds, unsliced->holds) << f.name << ": " << text;

@@ -97,5 +97,19 @@ TEST(StrUtilTest, QuoteString) {
   EXPECT_EQ(QuoteString("a\nb"), "\"a\\nb\"");
 }
 
+TEST(StrUtilTest, JsonEscape) {
+  EXPECT_EQ(JsonEscape("plain text/ok"), "plain text/ok");
+  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(JsonEscape(std::string("\0\x01\x08\x0c\x1b\x1f", 6)),
+            "\\u0000\\u0001\\u0008\\u000c\\u001b\\u001f");
+  // 0x20 and up, including DEL and UTF-8 bytes, pass through verbatim.
+  EXPECT_EQ(JsonEscape(" ~\x7f\xc3\xa9"), " ~\x7f\xc3\xa9");
+  std::string out = "x";
+  AppendJsonEscaped("\"", &out);
+  EXPECT_EQ(out, "x\\\"");
+}
+
 }  // namespace
 }  // namespace wsv

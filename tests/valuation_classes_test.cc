@@ -25,7 +25,6 @@
 #include "obs/metrics.h"
 #include "verify/db_enum.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 #include "verify/witness_check.h"
 #include "ws/data_parser.h"
 #include "ws/spec_parser.h"
@@ -70,7 +69,7 @@ SweepRun RunSweep(const WebService& service, const LtlVerifyOptions& options,
   auto p = ParseTemporalProperty(prop, &service.vocab());
   EXPECT_TRUE(p.ok()) << p.status().ToString();
   obs::ResetMetrics();
-  ParallelLtlVerifier verifier(&service, options, jobs);
+  LtlVerifier verifier(&service, options, jobs);
   auto r = db ? verifier.VerifyOnDatabase(*p, *db) : verifier.Verify(*p);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   SweepRun out;

@@ -15,7 +15,7 @@
 //   wsvcli verify <spec.wsv> <property> [db.wsd] [--pool a,b,c]
 //                 [--fresh N] [--unchecked] [--eager] [--jobs N]
 //                 [--no-fo-bytecode] [--stats] [--stats-json FILE]
-//                 [--trace-out FILE] [--progress] [--log-json FILE]
+//                 [--trace-out FILE] [--log-json FILE]
 //                 [--heartbeat SECS] [--watchdog-deadline SECS]
 //                 [--step-budget N]
 //       Verify an LTL-FO property (Theorem 3.5); --unchecked skips the
@@ -32,14 +32,15 @@
 //       verdicts, slower; for debugging and A/B runs).
 //       Telemetry: --stats prints the phase/counter/memory table to
 //       stderr, --stats-json writes the counter snapshot as JSON,
-//       --trace-out writes a Chrome/Perfetto trace-event file of the
-//       pipeline spans, and --progress prints a once-a-second heartbeat
-//       for long sweeps. --log-json streams a wide-event JSONL log (one
+//       and --trace-out writes a Chrome/Perfetto trace-event file of the
+//       pipeline spans. --log-json streams a wide-event JSONL log (one
 //       self-contained event per request phase — parse, lint, db_enum,
 //       product, emptiness, witness_check — plus a terminal "request"
 //       event with the verdict, outcome, and the exact counter delta
 //       attributed to this request; see src/obs/events.h). --heartbeat S
-//       prints watchdog progress lines every S seconds;
+//       prints watchdog progress lines (open phase, databases, graph
+//       nodes, valuations, product states, counterexamples, VM steps)
+//       every S seconds;
 //       --watchdog-deadline S reports any phase still open after S
 //       seconds as a "stall" event (0 flags everything, for tests).
 //       --step-budget N caps each bytecode-VM execution at N steps
@@ -60,7 +61,8 @@
 //       `deps` below and DESIGN.md §10): every sweep then runs the full
 //       spec directly instead of probing the reduced one first. Verdict
 //       and witness are identical either way; the flag exists for A/B
-//       runs and debugging. WSV_DISABLE_SLICE=1 is the env equivalent.
+//       runs and debugging. WSV_DISABLE_SLICE=1 turns slicing off for
+//       every request of the process, replay included.
 //   wsvcli deps <spec.wsv> [--property P] [--format=dot|json]
 //       Dump the whole-spec dependence graph (src/analysis/depgraph.h):
 //       relations, constants, and rules as nodes, reads-edges between
@@ -91,23 +93,18 @@
 // Parse and validation failures exit non-zero on every subcommand, with
 // annotated diagnostics on stderr rendered by the same engine as lint.
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/depgraph.h"
 #include "analysis/lints.h"
 #include "analysis/render.h"
-#include "analysis/slice.h"
 #include "cache/replay.h"
 #include "cache/verify_cache.h"
 #include "common/file_util.h"
@@ -126,7 +123,6 @@
 #include "verify/abstraction.h"
 #include "verify/error_free.h"
 #include "verify/ltl_verifier.h"
-#include "verify/parallel.h"
 #include "verify/witness_check.h"
 #include "ws/classify.h"
 #include "ws/data_parser.h"
@@ -149,7 +145,7 @@ int Usage() {
       "[--fresh N]\n"
       "  wsvcli verify <spec.wsv> <property> [db.wsd] [--pool a,b,c] "
       "[--fresh N] [--unchecked] [--eager] [--jobs N] [--no-fo-bytecode] "
-      "[--stats] [--stats-json FILE] [--trace-out FILE] [--progress] "
+      "[--stats] [--stats-json FILE] [--trace-out FILE] "
       "[--log-json FILE] [--heartbeat SECS] [--watchdog-deadline SECS] "
       "[--step-budget N] [--cache-dir DIR] [--label NAME] [--no-slice]\n"
       "  wsvcli deps <spec.wsv> [--property P] [--format=dot|json]\n"
@@ -191,11 +187,10 @@ struct Flags {
   bool no_fo_bytecode = false;
   std::vector<Value> pool;
   /// Observability surface (verify): human table, JSON snapshot, Chrome
-  /// trace file, heartbeat.
+  /// trace file.
   bool stats = false;
   std::string stats_json;
   std::string trace_out;
-  bool progress = false;
   /// Wide-event JSONL log (obs/events.h); empty = disabled.
   std::string log_json;
   /// Watchdog progress-line interval in seconds; 0 = disabled.
@@ -218,7 +213,8 @@ struct Flags {
   std::string format = "text";
   /// Lint: treat warnings as errors (exit 1 when any warning fires).
   bool werror = false;
-  /// Verify: disable the property-directed cone slicer for the process.
+  /// Verify: disable the property-directed cone slicer for this request
+  /// (LtlVerifyOptions::enable_slice).
   bool no_slice = false;
   /// Deps: property whose cone of influence to highlight; empty = none.
   std::string property;
@@ -258,8 +254,6 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       WSV_ASSIGN_OR_RETURN(flags.stats_json, next());
     } else if (arg == "--trace-out") {
       WSV_ASSIGN_OR_RETURN(flags.trace_out, next());
-    } else if (arg == "--progress") {
-      flags.progress = true;
     } else if (arg == "--log-json") {
       WSV_ASSIGN_OR_RETURN(flags.log_json, next());
     } else if (arg == "--heartbeat") {
@@ -416,57 +410,6 @@ int CmdCheckErrors(const Flags& flags) {
   return 3;
 }
 
-// Once-a-second counter heartbeat on stderr while a long sweep runs.
-class ProgressHeartbeat {
- public:
-  ProgressHeartbeat()
-      : start_ns_(obs::MonotonicNowNs()),
-        thread_([this] { Loop(); }) {}
-
-  ~ProgressHeartbeat() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
- private:
-  void Loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!done_) {
-      if (cv_.wait_for(lock, std::chrono::seconds(1),
-                       [this] { return done_; })) {
-        return;
-      }
-      obs::MetricsSnapshot snap = obs::SnapshotMetrics();
-      std::fprintf(
-          stderr,
-          "progress[%s]: dbs=%llu graph_nodes=%llu valuations=%llu "
-          "product_states=%llu cex=%llu\n",
-          obs::FormatDurationNs(obs::MonotonicNowNs() - start_ns_).c_str(),
-          static_cast<unsigned long long>(
-              snap.CounterValue("verify/databases")),
-          static_cast<unsigned long long>(
-              snap.CounterValue("config_graph/nodes")),
-          static_cast<unsigned long long>(
-              snap.CounterValue("ltl/valuations_checked")),
-          static_cast<unsigned long long>(
-              snap.CounterValue("ltl/product_states")),
-          static_cast<unsigned long long>(
-              snap.CounterValue("ltl/counterexamples_found")));
-      std::fflush(stderr);
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  uint64_t start_ns_;
-  std::thread thread_;
-};
-
 // Flushes the telemetry the user asked for. Called on *every* verify
 // outcome — clean PASS, counterexample, error, or cancellation — so a
 // partial sweep still reports what it did before stopping.
@@ -575,6 +518,7 @@ int CmdVerify(const Flags& flags) {
   options.db.fresh_values = flags.fresh;
   options.require_input_bounded = !flags.unchecked;
   options.force_eager = flags.eager;
+  options.enable_slice = !flags.no_slice;
 
   std::optional<Instance> db;
   if (flags.positional.size() >= 3) {
@@ -630,12 +574,10 @@ int CmdVerify(const Flags& flags) {
     }
   }
 
-  ParallelLtlVerifier verifier(&*service, options, flags.jobs);
+  LtlVerifier verifier(&*service, options, flags.jobs);
   if (!flags.trace_out.empty()) obs::StartTracing();
   StatusOr<LtlVerifyResult> result = Status::OK();
   {
-    std::optional<ProgressHeartbeat> heartbeat;
-    if (flags.progress) heartbeat.emplace();
     std::optional<obs::Watchdog> watchdog;
     if (flags.heartbeat_secs > 0 || flags.watchdog_deadline_secs >= 0) {
       obs::WatchdogOptions wopts;
@@ -701,6 +643,11 @@ int CmdVerify(const Flags& flags) {
 // --stats-json, --trace-out, --log-json (per-request wide events).
 int CmdReplay(const Flags& flags) {
   if (flags.positional.empty()) return Usage();
+  if (flags.no_slice) {
+    // The slice switch is per request, and replay requests carry none.
+    return Fail(Status::InvalidArgument(
+        "--no-slice applies to verify; run replay with WSV_DISABLE_SLICE=1"));
+  }
   auto jobs_text = ReadFile(flags.positional[0]);
   if (!jobs_text.ok()) return Fail(jobs_text.status());
   auto jobs = cache::ParseReplayJobs(*jobs_text);
@@ -833,7 +780,6 @@ int Main(int argc, char** argv) {
   auto flags = ParseFlags(argc, argv);
   if (!flags.ok()) return Fail(flags.status());
   if (flags->no_fo_bytecode) fobc::SetBytecodeEnabled(false);
-  if (flags->no_slice) analysis::SetSliceEnabled(false);
   if (flags->step_budget >= 0) {
     fobc::SetStepBudget(static_cast<uint64_t>(flags->step_budget));
   }
