@@ -110,10 +110,10 @@ RequestKey MakeRequestKey(const WebService& service,
     key.database = b.Finish();
   }
   // Everything that can change the *output* of a request: bounds,
-  // pools, closure candidates, and the execution shape (engine mode,
-  // class collapsing, parallelism all shift the reported statistics
-  // even when verdicts agree). Bytecode on/off is deliberately absent —
-  // it changes no observable number.
+  // pools, closure candidates, and the execution shape (engine mode and
+  // parallelism shift the reported statistics even when verdicts
+  // agree). Bytecode on/off is deliberately absent — it changes no
+  // observable number.
   FingerprintBuilder b;
   b.AbsorbString("opts");
   b.AbsorbFingerprint(FingerprintValues(options.db.base_values));
@@ -127,7 +127,6 @@ RequestKey MakeRequestKey(const WebService& service,
   b.AbsorbU64(options.require_input_bounded ? 1 : 0);
   b.AbsorbFingerprint(FingerprintValues(options.closure_candidates));
   b.AbsorbU64((options.force_eager || !OnTheFlyEnabled()) ? 1 : 0);
-  b.AbsorbU64(ClassCollapseEnabled() ? 1 : 0);
   b.AbsorbU64(static_cast<uint64_t>(jobs));
   key.options = b.Finish();
   key.combined = CombineKey(key.spec, key.property, key.database,
@@ -609,7 +608,6 @@ std::string VerifyCache::LeafContext(const RequestKey& key,
   for (const std::string& rel : TrackedPrevRelations(service, property)) {
     b.AbsorbString(rel);
   }
-  b.AbsorbU64(ClassCollapseEnabled() ? 1 : 0);
   if (on_the_fly) {
     // The nested DFS discovers edges in property-dependent order, so
     // columns only transfer between runs of the *same* property.

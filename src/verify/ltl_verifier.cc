@@ -51,8 +51,7 @@ std::set<Value> LassoDomain(const LassoRun& run, const Instance& database) {
   return dom;
 }
 
-// Hash for vector-valued keys: the FO-leaf memo (projected valuation
-// digits) and the valuation class table (leaf-column id tuples).
+// Hash for the FO-leaf memo's keys (projected valuation digits).
 template <typename T>
 struct VectorKeyHash {
   size_t operator()(const std::vector<T>& key) const {
@@ -365,10 +364,6 @@ void LtlDatabaseCheck::LeafMemoKey(size_t k,
   key->erase(std::unique(key->begin() + ext_begin, key->end()), key->end());
 }
 
-bool ClassCollapseEnabled() {
-  return std::getenv("WSV_DISABLE_CLASS_COLLAPSE") == nullptr;
-}
-
 bool OnTheFlyEnabled() {
   return std::getenv("WSV_DISABLE_ONTHEFLY") == nullptr;
 }
@@ -544,12 +539,10 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
     check.num_valuations_ = n;
   }
 
-  // Classify leaves by the closure variables they mention, and query
-  // the valuation-independent ones once per database.
+  // Classify leaves by the closure variables they mention and pick each
+  // one's answer-table query.
   const size_t num_leaves = automaton->leaves.size();
-  const size_t num_edges = check.graph_.edges.size();
   check.leaf_vars_.resize(num_leaves);
-  check.static_cols_.resize(num_leaves);
   check.leaf_qfree_.resize(num_leaves, 0);
   check.leaf_query_.resize(num_leaves);
   check.leaf_complement_.resize(num_leaves, 0);
@@ -572,41 +565,6 @@ StatusOr<LtlDatabaseCheck> LtlDatabaseCheck::Create(
     LeafQuery query = InternLeafQuery(automaton->leaves[k], heads);
     check.leaf_query_[k] = std::move(query.formula);
     check.leaf_complement_[k] = query.complement ? 1 : 0;
-  }
-  std::optional<LeafAnswers> static_answers;
-  if (!check.on_the_fly_) static_answers.emplace(check, check.graph_);
-  for (size_t k = 0; k < num_leaves; ++k) {
-    if (check.leaf_vars_[k].empty() && !check.on_the_fly_) {
-      Bitset& col = check.static_cols_[k];
-      bool loaded = false;
-      if (check.leaf_store_ != nullptr) {
-        std::vector<uint64_t> set_bits;
-        uint64_t upto = 0;
-        if (check.leaf_store_->Lookup(
-                LeafStoreKey(check.leaf_ctx_, check.leaf_fp_[k], "static"),
-                &set_bits, &upto) &&
-            upto == num_edges) {
-          ColumnFromSetBits(set_bits, upto, &col);
-          loaded = true;
-          WSV_COUNT1("cache/leaf_cols_loaded");
-          WSV_COUNT("cache/leaf_evals_saved", num_edges);
-        }
-      }
-      if (!loaded) {
-        [[maybe_unused]] const uint64_t eval_start = WSV_OBS_NOW();
-        col.Resize(num_edges);
-        WSV_RETURN_IF_ERROR(static_answers->Extend(
-            static_answers->TableFor(k, {}), 0, 0, num_edges, &col));
-        WSV_HIST("ltl/leaf_col_eval_ns", WSV_OBS_NOW() - eval_start);
-        if (check.leaf_store_ != nullptr) {
-          check.leaf_store_->Publish(
-              LeafStoreKey(check.leaf_ctx_, check.leaf_fp_[k], "static"),
-              SetBitsOf(col, num_edges), num_edges);
-          WSV_COUNT1("cache/leaf_cols_published");
-        }
-      }
-      WSV_COUNT1("ltl/static_leaf_cols");
-    }
     // A candidate value can influence this leaf through the active
     // domain only if neither the database nor the leaf's own literals
     // already provide it (every evaluation context contains both).
@@ -658,11 +616,9 @@ StatusOr<std::vector<std::vector<Bitset>>> LtlDatabaseCheck::LeafColumns(
     }
     std::vector<Bitset>& cols = out.emplace_back(num_leaves);
     for (size_t k = 0; k < num_leaves; ++k) {
-      if (leaf_vars_[k].empty()) {
-        cols[k] = static_cols_[k];
-        continue;
-      }
-      LeafMemoKey(k, digits, &memo_key);
+      // A static leaf's one table takes the empty key (no extension).
+      memo_key.clear();
+      if (!leaf_vars_[k].empty()) LeafMemoKey(k, digits, &memo_key);
       cols[k].Resize(num_edges);
       WSV_RETURN_IF_ERROR(answers.Extend(answers.TableFor(k, memo_key),
                                          answers.Code(k, digits), 0,
@@ -676,312 +632,42 @@ StatusOr<std::optional<IndexedCounterExample>>
 LtlDatabaseCheck::CheckValuations(uint64_t begin, uint64_t end,
                                   const std::function<bool(uint64_t)>& stop,
                                   uint64_t* product_states) const {
-  if (on_the_fly_) return CheckValuationsOtf(begin, end, stop, product_states);
   WSV_SPAN("verify/check_valuations");
   const std::vector<std::string>& vars = property_->universal_vars;
   const size_t num_leaves = automaton_->leaves.size();
-  const size_t num_edges = graph_.edges.size();
   const uint64_t c = cand_.size();
   if (end > num_valuations_) end = num_valuations_;
-  const bool collapse = ClassCollapseEnabled();
 
   // All sweep state is local to this call: concurrent sweeps of one
   // context never share mutable state.
   //
-  // Truth columns are interned by content: every distinct column gets a
-  // dense id, and the column store (a node-based map, so key addresses
-  // are stable) owns the bits. Two valuations whose leaves resolve to
-  // the same id tuple induce the *same* product — the equivalence
-  // classes the sweep collapses.
-  std::unordered_map<Bitset, uint32_t, BitsetHash> col_ids;
-  std::vector<const Bitset*> col_by_id;
-  auto intern_col = [&](const Bitset& col) -> uint32_t {
-    auto it = col_ids.find(col);
-    if (it == col_ids.end()) {
-      it = col_ids.emplace(col, static_cast<uint32_t>(col_by_id.size()))
-               .first;
-      col_by_id.push_back(&it->first);
-    }
-    return it->second;
-  };
-
-  // Memoized column ids per dynamic leaf, keyed by the projection of
-  // the valuation onto the leaf's free variables plus the sorted set of
-  // domain-relevant candidate digits (the only other channel a closure
-  // value can reach the leaf through).
-  std::vector<std::unordered_map<std::vector<int32_t>, uint32_t,
-                                 VectorKeyHash<int32_t>>>
-      memo(num_leaves);
-  // A memo miss reads its column from the leaf's answer table.
-  LeafAnswers answers(*this, graph_);
-
-  // The emptiness verdict of each first-of-class product. For violating
-  // classes the accepting lasso and its Dom(rho) are cached too: repeats
-  // skip the product entirely but still re-run the valuation-specific
-  // faithfulness check (spuriousness depends on the concrete bindings).
-  struct ClassOutcome {
-    bool violating = false;
-    LassoRun run;
-    std::set<Value> dom;
-  };
-  std::unordered_map<std::vector<uint32_t>, ClassOutcome,
-                     VectorKeyHash<uint32_t>>
-      classes;
-
-  // Reusable per-sweep scratch: steady-state iterations (memoized
-  // columns, repeated class) allocate nothing, and even first-of-class
-  // product builds reuse the buffers' capacity.
-  std::vector<int32_t> digits(vars.size(), 0);
-  std::vector<uint32_t> cols(num_leaves, 0);  // column id per leaf
-  std::vector<uint32_t> static_ids(num_leaves, 0);
-  for (size_t k = 0; k < num_leaves; ++k) {
-    if (leaf_vars_[k].empty()) static_ids[k] = intern_col(static_cols_[k]);
-  }
-  std::vector<int32_t> memo_key;
-  memo_key.reserve(2 * vars.size() + 1);
-  Bitset col_scratch;
-  Bitset label_scratch;
-  std::vector<const std::vector<int>*> matching(num_edges,
-                                                &kNoMatchingStates);
-  std::vector<std::pair<int, int>> verts;  // (edge, q)
-  std::unordered_map<uint64_t, int> vert_index;
-  std::vector<std::vector<int>> succ;
-  std::vector<char> initial;
-  std::vector<char> accepting;
-
-  for (uint64_t i = begin; i < end; ++i) {
-    // Sweeping ascending means the first faithful counterexample is the
-    // range minimum, so we return the moment we find one; a stop only
-    // ever fires while still empty-handed.
-    if (stop && stop(i)) {
-      WSV_COUNT1("ltl/valuation_sweeps_cancelled");
-      return Status::Cancelled("valuation sweep cancelled at index " +
-                               std::to_string(i));
-    }
-    WSV_COUNT1("ltl/valuations_checked");
-    for (size_t k = 0; k < vars.size(); ++k) {
-      digits[k] = static_cast<int32_t>((i / stride_[k]) % c);
-    }
-
-    // Resolve the truth-column id of every FO leaf under the valuation.
-    for (size_t k = 0; k < num_leaves; ++k) {
-      if (leaf_vars_[k].empty()) {
-        cols[k] = static_ids[k];
-        continue;
-      }
-      LeafMemoKey(k, digits, &memo_key);
-      auto it = memo[k].find(memo_key);
-      if (it == memo[k].end()) {
-        WSV_COUNT1("ltl/leaf_memo_misses");
-        std::string store_key;
-        bool loaded = false;
-        if (leaf_store_ != nullptr) {
-          store_key = LeafStoreKey(
-              leaf_ctx_, leaf_fp_[k],
-              LeafBinding(leaf_vars_[k], digits, cand_, domain_relevant_[k],
-                          leaf_qfree_[k] != 0));
-          std::vector<uint64_t> set_bits;
-          uint64_t upto = 0;
-          if (leaf_store_->Lookup(store_key, &set_bits, &upto) &&
-              upto == num_edges) {
-            ColumnFromSetBits(set_bits, upto, &col_scratch);
-            loaded = true;
-            WSV_COUNT1("cache/leaf_cols_loaded");
-            WSV_COUNT("cache/leaf_evals_saved", num_edges);
-          }
-        }
-        if (!loaded) {
-          [[maybe_unused]] const uint64_t eval_start = WSV_OBS_NOW();
-          col_scratch.Resize(num_edges);
-          WSV_RETURN_IF_ERROR(answers.Extend(answers.TableFor(k, memo_key),
-                                             answers.Code(k, digits), 0,
-                                             num_edges, &col_scratch));
-          WSV_HIST("ltl/leaf_col_eval_ns", WSV_OBS_NOW() - eval_start);
-          if (leaf_store_ != nullptr) {
-            leaf_store_->Publish(store_key, SetBitsOf(col_scratch, num_edges),
-                                 num_edges);
-            WSV_COUNT1("cache/leaf_cols_published");
-          }
-        }
-        it = memo[k].emplace(memo_key, intern_col(col_scratch)).first;
-        WSV_COUNT1("ltl/leaf_memo_entries");
-      } else {
-        WSV_COUNT1("ltl/leaf_memo_hits");
-      }
-      cols[k] = it->second;
-    }
-
-    // Look up the valuation's equivalence class. A repeat skips the
-    // product build and emptiness run; its cached outcome is handled
-    // below exactly like a fresh one.
-    ClassOutcome naive_outcome;
-    ClassOutcome* outcome = nullptr;
-    bool first_of_class = true;
-    if (collapse) {
-      auto [it, inserted] = classes.try_emplace(cols);
-      outcome = &it->second;
-      first_of_class = inserted;
-      if (inserted) {
-        WSV_COUNT1("ltl/valuation_classes");
-      } else {
-        WSV_COUNT1("ltl/class_hits");
-        WSV_COUNT1("ltl/products_skipped");
-      }
-    } else {
-      outcome = &naive_outcome;
-    }
-
-    if (first_of_class) {
-      // First of its class (or naive mode): build the product — vertices
-      // are (edge, automaton state) pairs where the state label matches
-      // the edge's leaf truth — and run emptiness.
-      WSV_SPAN("ltl/product");
-      verts.clear();
-      vert_index.clear();
-      for (size_t e = 0; e < num_edges; ++e) {
-        label_scratch.Resize(num_leaves);
-        for (size_t k = 0; k < num_leaves; ++k) {
-          if (col_by_id[cols[k]]->Test(e)) label_scratch.Set(k);
-        }
-        auto it = label_index_.find(label_scratch);
-        matching[e] = it == label_index_.end() ? &kNoMatchingStates
-                                               : &it->second;
-      }
-      auto vid = [&](int e, int q) {
-        uint64_t key = PackInts(e, q);
-        auto it = vert_index.find(key);
-        if (it != vert_index.end()) return it->second;
-        int id = static_cast<int>(verts.size());
-        vert_index.emplace(key, id);
-        verts.emplace_back(e, q);
-        return id;
-      };
-      for (size_t e = 0; e < num_edges; ++e) {
-        for (int q : *matching[e]) vid(static_cast<int>(e), q);
-      }
-      const size_t nv = verts.size();
-      succ.resize(nv);
-      for (size_t v = 0; v < nv; ++v) succ[v].clear();
-      initial.assign(nv, 0);
-      accepting.assign(nv, 0);
-      const std::set<int>& acc_set = automaton_->accepting_sets.front();
-      for (size_t v = 0; v < nv; ++v) {
-        auto [e, q] = verts[v];
-        if (graph_.edges[e].from == graph_.initial &&
-            automaton_->initial[q]) {
-          initial[v] = 1;
-        }
-        if (acc_set.count(q) > 0) accepting[v] = 1;
-        const Bitset& q_succ = succ_bits_[q];
-        for (int e2 : graph_.out_edges[graph_.edges[e].to]) {
-          for (int q2 : *matching[e2]) {
-            if (q_succ.Test(q2)) succ[v].push_back(vid(e2, q2));
-          }
-        }
-      }
-      if (product_states != nullptr) *product_states += nv;
-      WSV_COUNT1("ltl/products_built");
-      WSV_COUNT("ltl/product_states", nv);
-
-      std::optional<Lasso> lasso =
-          FindAcceptingLasso(succ, initial, accepting);
-      if (lasso.has_value()) {
-        // Reconstruct the run: prefix vertices then cycle[1..], looping
-        // back to the prefix's last vertex.
-        LassoRun run;
-        for (int v : lasso->prefix) {
-          run.steps.push_back(graph_.Materialize(verts[v].first));
-        }
-        run.loop_start = lasso->prefix.size() - 1;
-        for (size_t j = 1; j < lasso->cycle.size(); ++j) {
-          run.steps.push_back(
-              graph_.Materialize(verts[lasso->cycle[j]].first));
-        }
-        outcome->violating = true;
-        outcome->dom = LassoDomain(run, *database_);
-        std::set<Value> lits = property_->formula->Literals();
-        outcome->dom.insert(lits.begin(), lits.end());
-        outcome->run = std::move(run);
-      }
-    }
-    if (!outcome->violating) continue;
-
-    if (abort_on_lasso_) {
-      // Sliced first phase: an accepting lasso exists here, but its
-      // faithfulness is not slicing-invariant — report the index and
-      // let the caller re-check the full spec from it.
-      WSV_COUNT1("slice/lasso_bailouts");
-      IndexedCounterExample found;
-      found.valuation_index = i;
-      found.lasso_only = true;
-      return std::optional<IndexedCounterExample>(std::move(found));
-    }
-
-    // Faithfulness check: the closure valuation must range over
-    // Dom(rho); discard spurious witnesses using pool values that never
-    // occur in the run or database. The product (and so the lasso) is
-    // class-invariant, but spuriousness is not — every valuation of a
-    // violating class takes this check individually.
-    bool in_dom = true;
-    for (size_t k = 0; k < vars.size(); ++k) {
-      if (outcome->dom.count(cand_[static_cast<size_t>(digits[k])]) == 0) {
-        in_dom = false;
-      }
-    }
-    if (!in_dom) {
-      WSV_COUNT1("ltl/spurious_witnesses");
-      continue;
-    }
-    WSV_COUNT1("ltl/counterexamples_found");
-    IndexedCounterExample found;
-    found.valuation_index = i;
-    found.cex.database = *database_;
-    found.cex.run = outcome->run;
-    for (size_t k = 0; k < vars.size(); ++k) {
-      found.cex.valuation[vars[k]] = cand_[static_cast<size_t>(digits[k])];
-    }
-    return std::optional<IndexedCounterExample>(std::move(found));
-  }
-  return std::optional<IndexedCounterExample>(std::nullopt);
-}
-
-StatusOr<std::optional<IndexedCounterExample>>
-LtlDatabaseCheck::CheckValuationsOtf(
-    uint64_t begin, uint64_t end, const std::function<bool(uint64_t)>& stop,
-    uint64_t* product_states) const {
-  WSV_SPAN("verify/check_valuations");
-  const std::vector<std::string>& vars = property_->universal_vars;
-  const size_t num_leaves = automaton_->leaves.size();
-  const uint64_t c = cand_.size();
-  if (end > num_valuations_) end = num_valuations_;
-  const bool collapse = ClassCollapseEnabled();
-
-  // One lazy graph per sweep call: configurations are stepped only when
-  // a nested DFS reaches them, and everything this call expands stays
-  // local to it — concurrent sweeps of one context never share mutable
-  // state. The graph's cancellation hook additionally honors `stop` with
-  // the index currently being swept, so a mid-search better-witness
-  // signal aborts expansion too.
+  // The graph the sweep reads. Eager: the one built at Create. On the
+  // fly: a lazy graph of this call's own, whose configurations are
+  // stepped only when a nested DFS reaches them. Its cancellation hook
+  // also honors `stop` with the index being swept, so a mid-search
+  // better-witness signal aborts expansion too.
   uint64_t current_index = begin;
-  ConfigGraphOptions gopts = graph_options_;
-  const std::function<bool()> base_cancel = gopts.cancel_check;
-  const std::function<bool(uint64_t)>& stop_ref = stop;
-  gopts.cancel_check = [&base_cancel, &stop_ref, &current_index]() {
-    if (base_cancel && base_cancel()) return true;
-    return stop_ref && stop_ref(current_index);
-  };
-  LazyConfigGraph lazy(stepper_.get(), gopts);
-  const ConfigGraph& graph = lazy.graph();
+  std::optional<LazyConfigGraph> lazy;
+  if (on_the_fly_) {
+    ConfigGraphOptions gopts = graph_options_;
+    gopts.cancel_check = [base = graph_options_.cancel_check, &stop,
+                          &current_index]() {
+      return (base && base()) || (stop && stop(current_index));
+    };
+    lazy.emplace(stepper_.get(), std::move(gopts));
+  }
+  const ConfigGraph& graph = lazy.has_value() ? lazy->graph() : graph_;
 
-  // Fold this call's graph into the context-wide totals on every exit
-  // path (counterexample, cancellation, error, clean finish).
+  // Fold the lazy graph into the context-wide totals on every exit path
+  // (counterexample, cancellation, error, clean finish).
   struct GraphAccounting {
-    const LazyConfigGraph& lazy;
+    const std::optional<LazyConfigGraph>& lazy;
     OtfTotals* totals;
     ~GraphAccounting() {
-      totals->nodes.fetch_add(lazy.graph().nodes.size(),
+      if (!lazy.has_value()) return;
+      totals->nodes.fetch_add(lazy->graph().nodes.size(),
                               std::memory_order_relaxed);
-      if (lazy.truncated()) {
+      if (lazy->truncated()) {
         totals->truncated.store(true, std::memory_order_relaxed);
       }
     }
@@ -989,7 +675,8 @@ LtlDatabaseCheck::CheckValuationsOtf(
 
   // Truth columns over the *prefix* of edges evaluated so far. Columns
   // are identified by address (the deque keeps them stable) and extended
-  // on demand: a column's bits are meaningful on [0, upto).
+  // on demand: a column's bits are meaningful on [0, upto). On the eager
+  // graph every product and class comparison asks for all edges.
   struct LeafCol {
     Bitset bits;
     size_t upto = 0;
@@ -1008,28 +695,28 @@ LtlDatabaseCheck::CheckValuationsOtf(
   LeafAnswers answers(*this, graph);
   std::deque<LeafCol> col_store;
   std::vector<LeafCol*> static_col(num_leaves, nullptr);
+  // Memoized columns per dynamic leaf, keyed by the projection of the
+  // valuation onto the leaf's free variables plus the sorted set of
+  // domain-relevant candidate digits (the only other channel a closure
+  // value can reach the leaf through).
   std::vector<std::unordered_map<std::vector<int32_t>, LeafCol*,
                                  VectorKeyHash<int32_t>>>
       memo(num_leaves);
 
-  // The column store is only sound on full serial sweeps: a chunked
-  // parallel sweep expands a chunk-local lazy graph whose edge
-  // discovery order depends on the chunk's valuation range, so its
-  // column indices are not comparable across requests. (The eager
-  // engine has no such restriction — its columns cover the one full
-  // graph regardless of range.)
-  const bool use_store = leaf_store_ != nullptr && begin == 0 &&
-                         end >= num_valuations_ && !stop;
+  // The leaf store. Eager columns index the graph built at Create, whose
+  // edge order no cut of the index range changes. An on-the-fly sweep
+  // discovers edges in an order that depends on its range, so only a
+  // full, uncancellable sweep numbers them the way another request will.
+  const bool use_store =
+      leaf_store_ != nullptr &&
+      (!on_the_fly_ || (begin == 0 && end >= num_valuations_ && !stop));
   auto attach_store = [&](size_t k, LeafCol* col,
                           const std::string& binding) {
     col->store_key = LeafStoreKey(leaf_ctx_, leaf_fp_[k], binding);
     std::vector<uint64_t> set_bits;
     uint64_t upto = 0;
     if (leaf_store_->Lookup(col->store_key, &set_bits, &upto) && upto > 0) {
-      col->bits.GrowTo(static_cast<size_t>(upto));
-      for (uint64_t e : set_bits) {
-        if (e < upto) col->bits.Set(static_cast<size_t>(e));
-      }
+      ColumnFromSetBits(set_bits, upto, &col->bits);
       col->upto = static_cast<size_t>(upto);
       col->loaded_upto = col->upto;
       WSV_COUNT1("cache/leaf_cols_loaded");
@@ -1058,36 +745,169 @@ LtlDatabaseCheck::CheckValuationsOtf(
     return Status::OK();
   };
 
-  // Valuation equivalence classes, on-the-fly flavor: a class remembers
+  // Valuation equivalence classes (DESIGN.md §6d, §6e). A class remembers
   // its leaf columns and how many edges existed right after its
-  // representative's search (`edges_at_close`). The search only ever
-  // consulted labels of edges below that bound, and per-node out-edge
-  // lists don't depend on expansion timing — so a later valuation whose
-  // columns agree with the class on [0, edges_at_close) would reproduce
-  // the search verbatim and inherits its verdict (and lasso). At most
-  // one class can match: classes are closed in sweep order, and a new
-  // class differs from every earlier one within the earlier bound.
-  struct OtfClass {
+  // representative's search (`edges_at_close`: every edge on the eager
+  // graph). The search only ever consulted labels of edges below that
+  // bound, and per-node out-edge lists don't depend on expansion timing,
+  // so a later valuation whose columns agree with the class on
+  // [0, edges_at_close) would reproduce the search verbatim and inherits
+  // its verdict (and lasso). At most one class can match: classes are
+  // closed in sweep order, and a new class differs from every earlier one
+  // within the earlier bound. Violating classes also keep the lasso's
+  // Dom(rho) for the per-valuation faithfulness check.
+  struct Class {
     std::vector<LeafCol*> cols;
     size_t edges_at_close = 0;
     bool violating = false;
     LassoRun run;
     std::set<Value> dom;
   };
-  std::deque<OtfClass> classes;  // deque: outcome pointers stay stable
+  std::deque<Class> classes;  // deque: outcome pointers stay stable
 
-  // Automaton-side lookups hoisted out of the sweep.
-  const std::set<int>& acc_set = automaton_->accepting_sets.front();
-  std::vector<char> q_acc(automaton_->size(), 0);
-  for (int q : acc_set) q_acc[static_cast<size_t>(q)] = 1;
-
+  // The product of one class representative. Vertices are (edge,
+  // automaton state) pairs whose state label matches the edge's leaf
+  // truth, interned as a search reaches them.
   std::vector<int32_t> digits(vars.size(), 0);
   std::vector<LeafCol*> leaf_cols(num_leaves, nullptr);
+  std::vector<std::pair<int, int>> verts;  // (edge, q)
+  std::unordered_map<uint64_t, int> vert_index;
+  std::vector<const std::vector<int>*> matching;  // per edge; null: unset
+  std::vector<char> q_acc(automaton_->size(), 0);
+  for (int q : automaton_->accepting_sets.front()) {
+    q_acc[static_cast<size_t>(q)] = 1;
+  }
+  Bitset label_scratch;
+  auto vid = [&](int e, int q) {
+    uint64_t key = PackInts(e, q);
+    auto it = vert_index.find(key);
+    if (it != vert_index.end()) return it->second;
+    int id = static_cast<int>(verts.size());
+    vert_index.emplace(key, id);
+    verts.emplace_back(e, q);
+    return id;
+  };
+  // The automaton states whose label matches edge e's leaf truth under
+  // the current valuation's columns, which are extended to cover e.
+  auto edge_matching = [&](size_t e) -> StatusOr<const std::vector<int>*> {
+    if (e < matching.size() && matching[e] != nullptr) return matching[e];
+    if (matching.size() <= e) matching.resize(e + 1, nullptr);
+    label_scratch.Resize(num_leaves);
+    for (size_t k = 0; k < num_leaves; ++k) {
+      WSV_RETURN_IF_ERROR(extend_col(leaf_cols[k], e + 1));
+      if (leaf_cols[k]->bits.Test(e)) label_scratch.Set(k);
+    }
+    auto it = label_index_.find(label_scratch);
+    matching[e] = it == label_index_.end() ? &kNoMatchingStates : &it->second;
+    return matching[e];
+  };
+
+  // The eager search: the whole product over graph_, then SCC emptiness.
+  // Its arrays keep their capacity across products.
+  std::vector<std::vector<int>> succ;
+  std::vector<char> initial;
+  std::vector<char> accepting;
+  auto search_eager = [&]() -> StatusOr<std::optional<Lasso>> {
+    const size_t num_edges = graph.edges.size();
+    for (LeafCol* col : leaf_cols) {
+      WSV_RETURN_IF_ERROR(extend_col(col, num_edges));
+    }
+    for (size_t e = 0; e < num_edges; ++e) {
+      WSV_ASSIGN_OR_RETURN(const std::vector<int>* m, edge_matching(e));
+      for (int q : *m) vid(static_cast<int>(e), q);
+    }
+    const size_t nv = verts.size();
+    succ.resize(nv);
+    for (size_t v = 0; v < nv; ++v) succ[v].clear();
+    initial.assign(nv, 0);
+    accepting.assign(nv, 0);
+    for (size_t v = 0; v < nv; ++v) {
+      const auto [e, q] = verts[v];
+      if (graph.edges[e].from == graph.initial && automaton_->initial[q]) {
+        initial[v] = 1;
+      }
+      accepting[v] = q_acc[static_cast<size_t>(q)];
+      const Bitset& q_succ = succ_bits_[q];
+      for (int e2 : graph.out_edges[graph.edges[e].to]) {
+        for (int q2 : *matching[e2]) {
+          if (q_succ.Test(q2)) succ[v].push_back(vid(e2, q2));
+        }
+      }
+    }
+    return FindAcceptingLasso(succ, initial, accepting);
+  };
+
+  // The on-the-fly search: nested DFS over the lazy product, where
+  // asking for a vertex's successors is what expands the graph.
+  std::deque<std::vector<int>> vsucc;  // stable addresses for the DFS
+  std::vector<char> vsucc_done;
+  auto search_on_the_fly = [&]() -> StatusOr<std::optional<Lasso>> {
+    vsucc.clear();
+    vsucc_done.clear();
+    auto succ_fn = [&](int v) -> StatusOr<const std::vector<int>*> {
+      const size_t slot = static_cast<size_t>(v);
+      while (vsucc.size() <= slot) {
+        vsucc.emplace_back();
+        vsucc_done.push_back(0);
+      }
+      if (vsucc_done[slot]) return &vsucc[slot];
+      const auto [e, q] = verts[slot];
+      const int to = graph.edges[static_cast<size_t>(e)].to;
+      // An unexpanded node (budget hit) is a dead end — exactly the
+      // truncated-prefix semantics of the eager build.
+      WSV_ASSIGN_OR_RETURN(bool expanded, lazy->EnsureExpanded(to));
+      (void)expanded;
+      std::vector<int> out;
+      const Bitset& q_succ = succ_bits_[q];
+      for (int e2 : graph.out_edges[static_cast<size_t>(to)]) {
+        WSV_ASSIGN_OR_RETURN(const std::vector<int>* m,
+                             edge_matching(static_cast<size_t>(e2)));
+        for (int q2 : *m) {
+          if (q_succ.Test(q2)) out.push_back(vid(e2, q2));
+        }
+      }
+      vsucc[slot] = std::move(out);
+      vsucc_done[slot] = 1;
+      return &vsucc[slot];
+    };
+    // Initial vertices: the initial configuration's out-edges paired
+    // with initial automaton states whose label matches.
+    WSV_ASSIGN_OR_RETURN(bool expanded, lazy->EnsureExpanded(lazy->initial()));
+    (void)expanded;
+    std::vector<int> initial_verts;
+    for (int e : graph.out_edges[static_cast<size_t>(lazy->initial())]) {
+      WSV_ASSIGN_OR_RETURN(const std::vector<int>* m,
+                           edge_matching(static_cast<size_t>(e)));
+      for (int q : *m) {
+        if (automaton_->initial[static_cast<size_t>(q)]) {
+          initial_verts.push_back(vid(e, q));
+        }
+      }
+    }
+    NestedDfsStats search_stats;
+    WSV_ASSIGN_OR_RETURN(
+        std::optional<Lasso> lasso,
+        FindAcceptingLassoOnTheFly(
+            initial_verts, succ_fn,
+            [&](int v) {
+              return q_acc[static_cast<size_t>(
+                         verts[static_cast<size_t>(v)].second)] != 0;
+            },
+            [&]() { return stop && stop(current_index); }, &search_stats));
+    WSV_COUNT("ltl/otf_states_created", verts.size());
+    WSV_HIST("ltl/peak_product_states", verts.size());
+    WSV_HIST("ltl/otf_dfs_depth", search_stats.max_depth);
+    if (lasso.has_value()) WSV_COUNT1("ltl/otf_early_exits");
+    return lasso;
+  };
+
   std::vector<int32_t> memo_key;
   memo_key.reserve(2 * vars.size() + 1);
-  Bitset label_scratch;
 
   for (uint64_t i = begin; i < end; ++i) {
+    // Sweeping ascending means the first faithful counterexample is the
+    // range minimum, so we return the moment we find one; a stop only
+    // ever fires while still empty-handed.
     current_index = i;
     if (stop && stop(i)) {
       WSV_COUNT1("ltl/valuation_sweeps_cancelled");
@@ -1099,14 +919,11 @@ LtlDatabaseCheck::CheckValuationsOtf(
       digits[k] = static_cast<int32_t>((i / stride_[k]) % c);
     }
 
-    // Resolve each leaf's column (same memo discipline as the eager
-    // sweep; only the representation changed from eager bits to a lazily
-    // extended prefix).
+    // Resolve each leaf's column under the valuation.
     for (size_t k = 0; k < num_leaves; ++k) {
       if (leaf_vars_[k].empty()) {
         if (static_col[k] == nullptr) {
-          col_store.emplace_back();
-          static_col[k] = &col_store.back();
+          static_col[k] = &col_store.emplace_back();
           static_col[k]->table = answers.TableFor(k, {});
           if (use_store) attach_store(k, static_col[k], "static");
           WSV_COUNT1("ltl/static_leaf_cols");
@@ -1118,16 +935,15 @@ LtlDatabaseCheck::CheckValuationsOtf(
       auto it = memo[k].find(memo_key);
       if (it == memo[k].end()) {
         WSV_COUNT1("ltl/leaf_memo_misses");
-        col_store.emplace_back();
-        col_store.back().table = answers.TableFor(k, memo_key);
-        col_store.back().code = answers.Code(k, digits);
+        LeafCol* col = &col_store.emplace_back();
+        col->table = answers.TableFor(k, memo_key);
+        col->code = answers.Code(k, digits);
         if (use_store) {
-          attach_store(k, &col_store.back(),
+          attach_store(k, col,
                        LeafBinding(leaf_vars_[k], digits, cand_,
-                                   domain_relevant_[k],
-                                   leaf_qfree_[k] != 0));
+                                   domain_relevant_[k], leaf_qfree_[k] != 0));
         }
-        it = memo[k].emplace(memo_key, &col_store.back()).first;
+        it = memo[k].emplace(memo_key, col).first;
         WSV_COUNT1("ltl/leaf_memo_entries");
       } else {
         WSV_COUNT1("ltl/leaf_memo_hits");
@@ -1137,189 +953,73 @@ LtlDatabaseCheck::CheckValuationsOtf(
 
     // Class lookup by column prefix (pointer equality short-circuits the
     // common case of a shared memoized column).
-    OtfClass* outcome = nullptr;
-    if (collapse) {
-      for (OtfClass& cls : classes) {
-        bool same = true;
-        for (size_t k = 0; k < num_leaves && same; ++k) {
-          if (cls.cols[k] == leaf_cols[k]) continue;
-          WSV_RETURN_IF_ERROR(extend_col(cls.cols[k], cls.edges_at_close));
-          WSV_RETURN_IF_ERROR(extend_col(leaf_cols[k], cls.edges_at_close));
-          if (!cls.cols[k]->bits.PrefixEquals(leaf_cols[k]->bits,
-                                              cls.edges_at_close)) {
-            same = false;
-          }
-        }
-        if (same) {
-          outcome = &cls;
-          break;
-        }
+    Class* outcome = nullptr;
+    for (Class& cls : classes) {
+      bool same = true;
+      for (size_t k = 0; k < num_leaves && same; ++k) {
+        if (cls.cols[k] == leaf_cols[k]) continue;
+        WSV_RETURN_IF_ERROR(extend_col(cls.cols[k], cls.edges_at_close));
+        WSV_RETURN_IF_ERROR(extend_col(leaf_cols[k], cls.edges_at_close));
+        same = cls.cols[k]->bits.PrefixEquals(leaf_cols[k]->bits,
+                                              cls.edges_at_close);
+      }
+      if (same) {
+        outcome = &cls;
+        break;
       }
     }
 
-    OtfClass local;  // the outcome buffer in naive (no-collapse) mode
     if (outcome != nullptr) {
       WSV_COUNT1("ltl/class_hits");
       WSV_COUNT1("ltl/products_skipped");
     } else {
-      if (collapse) WSV_COUNT1("ltl/valuation_classes");
+      // First of its class: search the product — the one step that
+      // differs by engine.
+      WSV_COUNT1("ltl/valuation_classes");
       WSV_SPAN("ltl/product");
-
-      // The on-the-fly product search. Vertices (edge, automaton state)
-      // are interned as the nested DFS reaches them; asking for a
-      // vertex's successors is what expands the configuration graph.
-      std::vector<std::pair<int, int>> verts;
-      std::unordered_map<uint64_t, int> vert_index;
-      std::deque<std::vector<int>> vsucc;  // stable addresses for the DFS
-      std::vector<char> vsucc_done;
-      std::vector<const std::vector<int>*> matching;
-
-      auto vid = [&](int e, int q) {
-        uint64_t key = PackInts(e, q);
-        auto it = vert_index.find(key);
-        if (it != vert_index.end()) return it->second;
-        int id = static_cast<int>(verts.size());
-        vert_index.emplace(key, id);
-        verts.emplace_back(e, q);
-        return id;
-      };
-
-      // The automaton states whose label matches edge e's leaf truth.
-      // Requires every leaf column to cover e; cached per search.
-      auto edge_matching =
-          [&](size_t e) -> StatusOr<const std::vector<int>*> {
-        if (e < matching.size() && matching[e] != nullptr) {
-          return matching[e];
-        }
-        if (matching.size() <= e) matching.resize(e + 1, nullptr);
-        for (size_t k = 0; k < num_leaves; ++k) {
-          WSV_RETURN_IF_ERROR(extend_col(leaf_cols[k], e + 1));
-        }
-        label_scratch.Resize(num_leaves);
-        for (size_t k = 0; k < num_leaves; ++k) {
-          if (leaf_cols[k]->bits.Test(e)) label_scratch.Set(k);
-        }
-        auto it = label_index_.find(label_scratch);
-        matching[e] =
-            it == label_index_.end() ? &kNoMatchingStates : &it->second;
-        return matching[e];
-      };
-
-      auto ensure_slot = [&](size_t v) {
-        while (vsucc.size() <= v) {
-          vsucc.emplace_back();
-          vsucc_done.push_back(0);
-        }
-      };
-
-      auto succ_fn = [&](int v) -> StatusOr<const std::vector<int>*> {
-        ensure_slot(static_cast<size_t>(v));
-        if (vsucc_done[static_cast<size_t>(v)]) {
-          return &vsucc[static_cast<size_t>(v)];
-        }
-        const auto [e, q] = verts[static_cast<size_t>(v)];
-        const int to = graph.edges[static_cast<size_t>(e)].to;
-        // An unexpanded node (budget hit) is a dead end — exactly the
-        // truncated-prefix semantics of the eager build.
-        WSV_ASSIGN_OR_RETURN(bool expanded, lazy.EnsureExpanded(to));
-        (void)expanded;
-        std::vector<int> out;
-        const Bitset& q_succ = succ_bits_[q];
-        for (int e2 : graph.out_edges[static_cast<size_t>(to)]) {
-          WSV_ASSIGN_OR_RETURN(const std::vector<int>* m,
-                               edge_matching(static_cast<size_t>(e2)));
-          for (int q2 : *m) {
-            if (q_succ.Test(q2)) out.push_back(vid(e2, q2));
-          }
-        }
-        vsucc[static_cast<size_t>(v)] = std::move(out);
-        vsucc_done[static_cast<size_t>(v)] = 1;
-        return &vsucc[static_cast<size_t>(v)];
-      };
-
-      // Initial vertices: the initial configuration's out-edges paired
-      // with initial automaton states whose label matches.
-      auto init_or = lazy.EnsureExpanded(lazy.initial());
-      std::vector<int> initial_verts;
-      Status search_status = init_or.status();
-      std::optional<Lasso> lasso;
-      NestedDfsStats search_stats;
-      if (search_status.ok()) {
-        for (int e : graph.out_edges[static_cast<size_t>(lazy.initial())]) {
-          auto m_or = edge_matching(static_cast<size_t>(e));
-          if (!m_or.ok()) {
-            search_status = m_or.status();
-            break;
-          }
-          for (int q : **m_or) {
-            if (automaton_->initial[static_cast<size_t>(q)]) {
-              initial_verts.push_back(vid(e, q));
-            }
-          }
-        }
-      }
-      if (search_status.ok()) {
-        auto lasso_or = FindAcceptingLassoOnTheFly(
-            initial_verts, succ_fn,
-            [&](int v) {
-              return q_acc[static_cast<size_t>(
-                         verts[static_cast<size_t>(v)].second)] != 0;
-            },
-            [&]() { return stop && stop(current_index); }, &search_stats);
-        if (lasso_or.ok()) {
-          lasso = std::move(*lasso_or);
-        } else {
-          search_status = lasso_or.status();
-        }
-      }
-      if (!search_status.ok()) {
-        if (search_status.code() == StatusCode::kCancelled) {
+      verts.clear();
+      vert_index.clear();
+      matching.clear();
+      StatusOr<std::optional<Lasso>> lasso =
+          on_the_fly_ ? search_on_the_fly() : search_eager();
+      if (!lasso.ok()) {
+        if (lasso.status().code() == StatusCode::kCancelled) {
           WSV_COUNT1("ltl/valuation_sweeps_cancelled");
         }
-        return search_status;
+        return lasso.status();
       }
-
-      const size_t nv = verts.size();
-      if (product_states != nullptr) *product_states += nv;
+      if (product_states != nullptr) *product_states += verts.size();
       WSV_COUNT1("ltl/products_built");
-      WSV_COUNT("ltl/product_states", nv);
-      WSV_COUNT("ltl/otf_states_created", nv);
-      WSV_HIST("ltl/peak_product_states", nv);
-      WSV_HIST("ltl/otf_dfs_depth", search_stats.max_depth);
+      WSV_COUNT("ltl/product_states", verts.size());
 
-      if (lasso.has_value()) {
-        WSV_COUNT1("ltl/otf_early_exits");
-        LassoRun run;
-        for (int v : lasso->prefix) {
+      outcome = &classes.emplace_back();
+      outcome->cols = leaf_cols;
+      outcome->edges_at_close = graph.edges.size();
+      if (lasso->has_value()) {
+        // Reconstruct the run: prefix vertices then cycle[1..], looping
+        // back to the prefix's last vertex.
+        LassoRun& run = outcome->run;
+        for (int v : (*lasso)->prefix) {
           run.steps.push_back(
               graph.Materialize(verts[static_cast<size_t>(v)].first));
         }
-        run.loop_start = lasso->prefix.size() - 1;
-        for (size_t j = 1; j < lasso->cycle.size(); ++j) {
+        run.loop_start = (*lasso)->prefix.size() - 1;
+        for (size_t j = 1; j < (*lasso)->cycle.size(); ++j) {
           run.steps.push_back(graph.Materialize(
-              verts[static_cast<size_t>(lasso->cycle[j])].first));
+              verts[static_cast<size_t>((*lasso)->cycle[j])].first));
         }
-        local.violating = true;
-        local.dom = LassoDomain(run, *database_);
+        outcome->violating = true;
+        outcome->dom = LassoDomain(run, *database_);
         std::set<Value> lits = property_->formula->Literals();
-        local.dom.insert(lits.begin(), lits.end());
-        local.run = std::move(run);
-      }
-      if (collapse) {
-        local.cols = leaf_cols;
-        local.edges_at_close = graph.edges.size();
-        classes.push_back(std::move(local));
-        outcome = &classes.back();
-      } else {
-        outcome = &local;
+        outcome->dom.insert(lits.begin(), lits.end());
       }
     }
-
     if (!outcome->violating) continue;
 
     if (abort_on_lasso_) {
-      // Sliced first phase (see the eager sweep): lasso existence is
-      // slicing-invariant, faithfulness is not — hand the index back.
+      // Sliced first phase: an accepting lasso exists here, but its
+      // faithfulness is not slicing-invariant — report the index and
+      // let the caller re-check the full spec from it.
       WSV_COUNT1("slice/lasso_bailouts");
       IndexedCounterExample found;
       found.valuation_index = i;
@@ -1328,9 +1028,11 @@ LtlDatabaseCheck::CheckValuationsOtf(
       return std::optional<IndexedCounterExample>(std::move(found));
     }
 
-    // Faithfulness: identical to the eager sweep — the valuation must
-    // range over Dom(rho) ∪ property literals or the witness is spurious
-    // for this particular binding.
+    // Faithfulness check: the closure valuation must range over
+    // Dom(rho); discard spurious witnesses using pool values that never
+    // occur in the run or database. The lasso is class-invariant, but
+    // spuriousness is not — every valuation of a violating class takes
+    // this check individually.
     bool in_dom = true;
     for (size_t k = 0; k < vars.size(); ++k) {
       if (outcome->dom.count(cand_[static_cast<size_t>(digits[k])]) == 0) {

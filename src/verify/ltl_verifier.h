@@ -135,8 +135,8 @@ struct IndexedCounterExample {
 };
 
 /// The per-database half of the Theorem 3.5 procedure: the configuration
-/// graph over one candidate database, the closure-valuation candidate
-/// list, and the truth table of valuation-independent FO leaves.
+/// graph over one candidate database (eager engine only), the
+/// closure-valuation candidate list, and the per-leaf query plan.
 ///
 /// Valuations are addressed by index in [0, NumValuations()): index i
 /// denotes the valuation whose k-th variable takes candidate number
@@ -150,8 +150,8 @@ struct IndexedCounterExample {
 /// of one context concurrently.
 class LtlDatabaseCheck {
  public:
-  /// Builds the context: configuration graph, candidate valuations, and
-  /// static-leaf truth labels. Takes ownership of a copy of `database`
+  /// Builds the context: configuration graph (eager engine), candidate
+  /// valuations, and leaf queries. Takes ownership of a copy of `database`
   /// (the enumerator reuses its instance buffer across visits).
   /// Honors `options.graph.cancel_check` during the graph build.
   static StatusOr<LtlDatabaseCheck> Create(const WebService* service,
@@ -187,16 +187,20 @@ class LtlDatabaseCheck {
   /// upcoming index before each valuation: once it returns true the
   /// sweep aborts — with the counterexample found so far if any (later
   /// indices cannot beat it), else with Status::Cancelled.
-  /// `product_states` (optional) accumulates product automaton sizes
-  /// (of the products actually built — see ClassCollapseEnabled()).
+  /// `product_states` (optional) accumulates the sizes of the products
+  /// actually built.
   ///
-  /// Valuations whose FO leaves all resolve to previously seen truth
-  /// columns induce the *same* product, so the product build and
-  /// emptiness run execute once per equivalence class; repeats reuse
-  /// the cached verdict (and, for violating classes, the cached lasso),
-  /// re-running only the valuation-specific Dom(rho) faithfulness
-  /// check. The class table, like the FO-leaf memo, is local to the
-  /// call: concurrent sweeps of one context never share mutable state.
+  /// One loop serves both engines. Valuations whose FO leaves all
+  /// resolve to previously seen truth columns induce the *same* product,
+  /// so the product search runs once per equivalence class — the full
+  /// product plus SCC emptiness on the eager graph, a nested DFS over
+  /// the lazy graph on the fly; repeats reuse the cached verdict (and,
+  /// for violating classes, the cached lasso), re-running only the
+  /// valuation-specific Dom(rho) faithfulness check. The class table,
+  /// like the FO-leaf memo and the answer tables, is local to the call:
+  /// concurrent sweeps of one context never share mutable state, and a
+  /// call sweeping a single index is the naive one-product-per-valuation
+  /// sweep.
   StatusOr<std::optional<IndexedCounterExample>> CheckValuations(
       uint64_t begin, uint64_t end,
       const std::function<bool(uint64_t)>& stop,
@@ -212,7 +216,7 @@ class LtlDatabaseCheck {
   /// The truth column of every FO leaf over the eager graph's edges, for
   /// each valuation index in [begin, end): result[i - begin][k] is leaf
   /// k's column under valuation i, read from the per-leaf answer tables
-  /// exactly as the sweeps read them. Lets tests compare the tables
+  /// exactly as the sweep reads them. Lets tests compare the tables
   /// against per-valuation EvalFoAtStep. Unsupported in on-the-fly
   /// mode.
   StatusOr<std::vector<std::vector<Bitset>>> LeafColumns(uint64_t begin,
@@ -230,14 +234,6 @@ class LtlDatabaseCheck {
   /// quantified leaves) the sorted, deduplicated domain-relevant digits.
   void LeafMemoKey(size_t k, const std::vector<int32_t>& digits,
                    std::vector<int32_t>* key) const;
-
-  /// The on-the-fly sweep (see DESIGN.md §6e): per call, a lazy
-  /// configuration graph is expanded by nested-DFS product searches run
-  /// once per valuation equivalence class.
-  StatusOr<std::optional<IndexedCounterExample>> CheckValuationsOtf(
-      uint64_t begin, uint64_t end,
-      const std::function<bool(uint64_t)>& stop,
-      uint64_t* product_states) const;
 
   const WebService* service_ = nullptr;
   const TemporalProperty* property_ = nullptr;
@@ -271,10 +267,6 @@ class LtlDatabaseCheck {
   /// Per leaf: positions (into property_->universal_vars) of the closure
   /// variables free in the leaf. Empty = valuation-independent leaf.
   std::vector<std::vector<size_t>> leaf_vars_;
-  /// Per *static* leaf k (leaf_vars_[k].empty()): truth per edge,
-  /// queried once per edge at Create. Empty bitset for dynamic leaves;
-  /// empty in on-the-fly mode (columns are then grown lazily per sweep).
-  std::vector<Bitset> static_cols_;
   /// Per leaf: quantifier-free? A QF leaf never iterates the active
   /// domain, so its truth is independent of which closure values extend
   /// the domain — the memo key can drop the domain-extension digits.
@@ -300,16 +292,15 @@ class LtlDatabaseCheck {
   /// Lets the memo key include exactly the domain-relevant values, so
   /// memoized and direct evaluation agree bit-for-bit.
   std::vector<std::vector<char>> domain_relevant_;
-  /// Cross-request column persistence (null = disabled; see
-  /// LtlVerifyOptions::leaf_store). The eager sweep consults it for
-  /// static and memoized dynamic columns; the on-the-fly sweep only on
-  /// full uncancellable ranges, where edge discovery order is
-  /// deterministic (chunked parallel sweeps expand chunk-local graphs
-  /// whose edge orders differ).
-  /// Copied from LtlVerifyOptions::abort_on_lasso: both sweeps return a
+  /// Copied from LtlVerifyOptions::abort_on_lasso: the sweep returns a
   /// lasso_only marker at the first accepting lasso instead of running
   /// the faithfulness check.
   bool abort_on_lasso_ = false;
+  /// Cross-request column persistence (null = disabled; see
+  /// LtlVerifyOptions::leaf_store). Eager sweeps consult it on any
+  /// range; on-the-fly sweeps only on full uncancellable ranges, where
+  /// edge discovery order is deterministic (chunked parallel sweeps
+  /// expand chunk-local graphs whose edge orders differ).
   LeafColumnStore* leaf_store_ = nullptr;
   std::string leaf_ctx_;
   /// Per leaf: hex structural fingerprint — the leaf component of store
@@ -360,14 +351,6 @@ class LtlVerifier {
   LtlVerifyOptions options_;
   int jobs_;
 };
-
-/// Whether the valuation sweep collapses equivalence classes of
-/// valuations (same truth column for every FO leaf => same product, so
-/// the emptiness verdict is computed once per class). On by default;
-/// setting the environment variable WSV_DISABLE_CLASS_COLLAPSE forces
-/// the naive one-product-per-valuation sweep (for tests and A/B runs).
-/// Verdicts and counterexamples are identical either way.
-bool ClassCollapseEnabled();
 
 /// Whether LtlDatabaseCheck::CheckValuations runs the on-the-fly pipeline
 /// (lazy configuration-graph expansion interleaved with nested-DFS

@@ -168,26 +168,24 @@ struct EventBoard {
   }
 };
 
-// The pooled VerifyOnDatabase sweep: [from, n) cut into contiguous
-// chunks, lowest index wins. The context is immutable; chunks share it
-// freely. Each chunk keeps its own FO-leaf memo and valuation-class table
-// (call-local state in CheckValuations), so chunking trades collapse for
-// balance: with class collapsing on, one shard per worker maximizes the
-// per-shard collapse rate (and repeats cost next to nothing, so imbalance
-// matters little); with the naive sweep forced, oversubscribe 4x so
-// uneven valuation costs load-balance. Work counters sum exactly across
-// shards either way — only the per-shard split (memo hits vs misses,
-// classes vs hits) depends on the cut. Chunks below the lowest marker
-// ran to completion without one, so in the sliced probe that marker is
-// exactly the first index with an accepting lasso.
+// The pooled VerifyOnDatabase sweep: [from, n) cut into one contiguous
+// chunk per worker, lowest index wins. The context is immutable; chunks
+// share it freely. Each chunk keeps its own FO-leaf memo and
+// valuation-class table (call-local state in CheckValuations), so one
+// chunk per worker maximizes the per-chunk collapse rate, and class
+// repeats cost next to nothing, so imbalance matters little. Valuation
+// totals sum exactly across chunks; only the per-chunk split (memo hits
+// vs misses, classes vs hits) depends on the cut. Chunks below the
+// lowest marker ran to completion without one, so in the sliced probe
+// that marker is exactly the first index with an accepting lasso.
 StatusOr<Found> SweepChunked(ThreadPool& pool, uint64_t request_start_ns,
                              const LtlDatabaseCheck& check, uint64_t from,
                              uint64_t* product_states) {
   const uint64_t n = check.NumValuations();
   if (from >= n) return Found();
   const uint64_t range = n - from;
-  const uint64_t num_chunks = std::min<uint64_t>(
-      range, pool.num_threads() * (ClassCollapseEnabled() ? 1 : 4));
+  const uint64_t num_chunks =
+      std::min<uint64_t>(range, pool.num_threads());
   const uint64_t chunk = (range + num_chunks - 1) / num_chunks;
   EventBoard board;
   // Valuation i can no longer win once an event at or below it exists.

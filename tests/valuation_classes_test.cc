@@ -5,13 +5,13 @@
 // products are identical, so the verdict is class-invariant. These
 // tests pin the load-bearing properties: the collapsed sweep reports
 // exactly the naive sweep's verdict and lowest-index counterexample on
-// the gallery services (WSV_DISABLE_CLASS_COLLAPSE forces the naive
-// sweep), the class accounting adds up, shard splits at higher job
+// the gallery services (the naive sweep is a test oracle here: one
+// CheckValuations call per valuation index), on both engines and at
+// jobs 1 and 4, the class accounting adds up, shard splits at higher job
 // counts keep the totals consistent, the per-leaf answer tables the
 // columns are read from agree with per-valuation leaf evaluation, and
 // the db_enum fresh-value symmetry pruning never drops an orbit.
 
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
@@ -40,15 +40,6 @@ constexpr bool kInstrumented = false;
 constexpr bool kInstrumented = true;
 #endif
 
-// Forces the naive one-product-per-valuation sweep for its lifetime.
-// Only flipped between verifications (never while worker threads run),
-// so the getenv in ClassCollapseEnabled is race-free.
-class ScopedNaiveSweep {
- public:
-  ScopedNaiveSweep() { setenv("WSV_DISABLE_CLASS_COLLAPSE", "1", 1); }
-  ~ScopedNaiveSweep() { unsetenv("WSV_DISABLE_CLASS_COLLAPSE"); }
-};
-
 struct SweepRun {
   bool holds = true;
   std::string cex;  // CounterExample::ToString(), empty when none
@@ -61,6 +52,17 @@ struct SweepRun {
   uint64_t product_states = 0;
   uint64_t databases = 0;
 };
+
+// Copies the sweep counters recorded since the last obs::ResetMetrics.
+void ReadSweepCounters(SweepRun* out) {
+  obs::MetricsSnapshot snap = obs::SnapshotMetrics();
+  out->valuations = snap.CounterValue("ltl/valuations_checked");
+  out->classes = snap.CounterValue("ltl/valuation_classes");
+  out->class_hits = snap.CounterValue("ltl/class_hits");
+  out->products_built = snap.CounterValue("ltl/products_built");
+  out->products_skipped = snap.CounterValue("ltl/products_skipped");
+  out->product_states = snap.CounterValue("ltl/product_states");
+}
 
 // Runs `prop` on one database (or over the enumeration when `db` is
 // null) at the given job count and snapshots the sweep counters.
@@ -76,34 +78,119 @@ SweepRun RunSweep(const WebService& service, const LtlVerifyOptions& options,
   out.holds = r->holds;
   if (r->counterexample.has_value()) out.cex = r->counterexample->ToString();
   out.witness = r->counterexample;
-  obs::MetricsSnapshot snap = obs::SnapshotMetrics();
-  out.valuations = snap.CounterValue("ltl/valuations_checked");
-  out.classes = snap.CounterValue("ltl/valuation_classes");
-  out.class_hits = snap.CounterValue("ltl/class_hits");
-  out.products_built = snap.CounterValue("ltl/products_built");
-  out.products_skipped = snap.CounterValue("ltl/products_skipped");
-  out.product_states = snap.CounterValue("ltl/product_states");
+  ReadSweepCounters(&out);
   out.databases = r->databases_checked;
   return out;
 }
 
-// Collapsed and naive sweeps must agree on the verdict and on the
-// lowest-index witness, and the collapsed run's class accounting must
-// cover every checked valuation exactly once.
+// The naive oracle: the Theorem 3.5 loop with no class collapse and no
+// column sharing. It builds a fresh, unsliced LtlDatabaseCheck per
+// database (every database of the enumeration when `db` is null, with
+// the property's literals as base values, as LtlVerifier::Verify adds
+// them) and sweeps each valuation index in its own
+// CheckValuations(i, i + 1) call. Each call has its own memo and class
+// table, so every valuation gets its own product and its own columns.
+SweepRun NaiveSweep(const WebService& service, LtlVerifyOptions options,
+                    const std::string& prop, const Instance* db) {
+  SweepRun out;
+  auto p = ParseTemporalProperty(prop, &service.vocab());
+  EXPECT_TRUE(p.ok()) << p.status().ToString();
+  if (!p.ok()) return out;
+  auto automaton =
+      BuildNegatedAutomaton(service, *p, options.require_input_bounded);
+  EXPECT_TRUE(automaton.ok()) << automaton.status().ToString();
+  if (!automaton.ok()) return out;
+  obs::ResetMetrics();
+  auto check_database = [&](const Instance& instance) -> StatusOr<bool> {
+    ++out.databases;
+    WSV_ASSIGN_OR_RETURN(LtlDatabaseCheck check,
+                         LtlDatabaseCheck::Create(&service, options, &*p,
+                                                  &*automaton, instance));
+    for (uint64_t i = 0; i < check.NumValuations(); ++i) {
+      WSV_ASSIGN_OR_RETURN(std::optional<IndexedCounterExample> found,
+                           check.CheckValuations(i, i + 1, nullptr, nullptr));
+      if (found.has_value()) {
+        out.holds = false;
+        out.cex = found->cex.ToString();
+        out.witness = std::move(found->cex);
+        return true;
+      }
+    }
+    return false;
+  };
+  StatusOr<bool> r = false;
+  if (db != nullptr) {
+    r = check_database(*db);
+  } else {
+    for (Value v : p->formula->Literals()) options.db.base_values.push_back(v);
+    r = EnumerateDatabases(service, options.db, check_database);
+  }
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  ReadSweepCounters(&out);
+  return out;
+}
+
+// Collapsed and naive sweeps must agree on the verdict, on the
+// lowest-index witness and on the databases visited; the collapsed run's
+// class accounting must cover every checked valuation exactly once.
 void ExpectCollapseTransparent(const SweepRun& collapsed,
-                               const SweepRun& naive) {
+                               const SweepRun& naive, int jobs) {
   EXPECT_EQ(collapsed.holds, naive.holds);
   EXPECT_EQ(collapsed.cex, naive.cex);
-  EXPECT_EQ(collapsed.valuations, naive.valuations);
   EXPECT_EQ(collapsed.databases, naive.databases);
+  // Above a violation, pooled workers may check a few valuations before
+  // the cancellation reaches them, and a search cancelled mid-way counts
+  // its class but builds no product.
+  const bool exact = jobs == 1 || naive.holds;
+  if (exact) {
+    EXPECT_EQ(collapsed.valuations, naive.valuations);
+  }
   if (!kInstrumented) return;
   EXPECT_EQ(collapsed.classes + collapsed.class_hits, collapsed.valuations);
-  EXPECT_EQ(collapsed.products_built, collapsed.classes);
+  if (exact) {
+    EXPECT_EQ(collapsed.products_built, collapsed.classes);
+  } else {
+    EXPECT_LE(collapsed.products_built, collapsed.classes);
+  }
   EXPECT_EQ(collapsed.products_skipped, collapsed.class_hits);
-  // The naive sweep builds one product per valuation and no classes.
-  EXPECT_EQ(naive.classes, 0u);
-  EXPECT_EQ(naive.class_hits, 0u);
+  // The oracle makes every valuation a class of its own.
+  EXPECT_EQ(naive.classes, naive.valuations);
   EXPECT_EQ(naive.products_built, naive.valuations);
+  EXPECT_EQ(naive.class_hits, 0u);
+}
+
+struct NaiveComparison {
+  SweepRun collapsed;  // on the fly, jobs 1
+  SweepRun naive;      // on the fly
+};
+
+// Checks `prop` on both engines, each at jobs 1 and 4, against the
+// naive oracle run on the same engine. The collapsed side runs unsliced,
+// like the oracle, so that one sweep decides and the counts compare; the
+// default sliced request must report the same verdict and witness.
+NaiveComparison ExpectMatchesNaive(const WebService& service,
+                                   const LtlVerifyOptions& options,
+                                   const std::string& prop,
+                                   const Instance* db) {
+  NaiveComparison out;
+  LtlVerifyOptions opts = options;
+  opts.enable_slice = false;
+  for (bool eager : {false, true}) {
+    opts.force_eager = eager;
+    SweepRun naive = NaiveSweep(service, opts, prop, db);
+    for (int jobs : {1, 4}) {
+      SCOPED_TRACE(prop + (eager ? " (eager" : " (on the fly") +
+                   ", jobs " + std::to_string(jobs) + ")");
+      SweepRun collapsed = RunSweep(service, opts, prop, db, jobs);
+      ExpectCollapseTransparent(collapsed, naive, jobs);
+      if (!eager && jobs == 1) out.collapsed = std::move(collapsed);
+    }
+    if (!eager) out.naive = std::move(naive);
+  }
+  SweepRun sliced = RunSweep(service, options, prop, db, 1);
+  EXPECT_EQ(sliced.holds, out.naive.holds) << prop;
+  EXPECT_EQ(sliced.cex, out.naive.cex) << prop;
+  return out;
 }
 
 // --- Gallery service 1: login. ------------------------------------------
@@ -125,13 +212,8 @@ class LoginCollapseTest : public ::testing::Test {
 
 TEST_F(LoginCollapseTest, ViolatedClosurePropertyMatchesNaive) {
   const std::string prop = "forall m . G(!error(m))";
-  SweepRun collapsed = RunSweep(service_, options_, prop, &db_, 1);
-  SweepRun naive;
-  {
-    ScopedNaiveSweep naive_mode;
-    naive = RunSweep(service_, options_, prop, &db_, 1);
-  }
-  ExpectCollapseTransparent(collapsed, naive);
+  SweepRun collapsed =
+      ExpectMatchesNaive(service_, options_, prop, &db_).collapsed;
   // The known witness: the faithfulness check must keep rejecting the
   // spurious pool valuations on cached violating classes too.
   ASSERT_FALSE(collapsed.holds);
@@ -144,19 +226,33 @@ TEST_F(LoginCollapseTest, HoldingClosurePropertyCollapses) {
   // closure variable sweeps. Every valuation resolves to the same leaf
   // columns except the ones binding m to values a run can produce.
   const std::string prop = "forall m . G(!CP | logged_in)";
-  SweepRun collapsed = RunSweep(service_, options_, prop, &db_, 1);
-  SweepRun naive;
-  {
-    ScopedNaiveSweep naive_mode;
-    naive = RunSweep(service_, options_, prop, &db_, 1);
-  }
-  ExpectCollapseTransparent(collapsed, naive);
+  SweepRun collapsed =
+      ExpectMatchesNaive(service_, options_, prop, &db_).collapsed;
   EXPECT_TRUE(collapsed.holds);
   if (kInstrumented) {
     // The property ignores m entirely: one class regardless of the
     // candidate count.
     EXPECT_EQ(collapsed.classes, 1u);
     EXPECT_GT(collapsed.valuations, 1u);
+  }
+}
+
+TEST_F(LoginCollapseTest, SpuriousClassHitsStayRejected) {
+  // button(m) is false on every edge for all three candidates, so they
+  // share one violating class. x1 and x2 occur in no run, database or
+  // literal, so the class's lasso is spurious for them; only alice (in
+  // the database) makes it a counterexample. x2 and alice are class
+  // hits: this pins the faithfulness check on cached violating classes.
+  options_.closure_candidates = {V("x1"), V("x2"), V("alice")};
+  const std::string prop = "forall m . F(button(m))";
+  SweepRun collapsed =
+      ExpectMatchesNaive(service_, options_, prop, &db_).collapsed;
+  ASSERT_FALSE(collapsed.holds);
+  EXPECT_NE(collapsed.cex.find("m=alice"), std::string::npos)
+      << collapsed.cex;
+  if (kInstrumented) {
+    EXPECT_EQ(collapsed.valuations, 3u);
+    EXPECT_EQ(collapsed.classes, 1u);
   }
 }
 
@@ -175,13 +271,9 @@ TEST(EcommerceCollapseTest, PayBeforeShipMatchesNaive) {
       "& pick(pid, price) & prod_prices(pid, price)) "
       "B !(conf(name, price) & ship(name, pid)))";
 
-  SweepRun collapsed = RunSweep(*ws, options, prop, &db, 1);
-  SweepRun naive;
-  {
-    ScopedNaiveSweep naive_mode;
-    naive = RunSweep(*ws, options, prop, &db, 1);
-  }
-  ExpectCollapseTransparent(collapsed, naive);
+  NaiveComparison runs = ExpectMatchesNaive(*ws, options, prop, &db);
+  const SweepRun& collapsed = runs.collapsed;
+  const SweepRun& naive = runs.naive;
   EXPECT_TRUE(collapsed.holds);
   if (kInstrumented) {
     // 9 valuations, but only the (p1, 100) binding ever flips a leaf:
@@ -201,13 +293,7 @@ TEST(EcommerceCollapseTest, ViolatedEventualityMatchesNaive) {
   options.require_input_bounded = false;
   const std::string prop = "G(!PIP) | F(PIP & F(CC))";
 
-  SweepRun collapsed = RunSweep(*ws, options, prop, &db, 1);
-  SweepRun naive;
-  {
-    ScopedNaiveSweep naive_mode;
-    naive = RunSweep(*ws, options, prop, &db, 1);
-  }
-  ExpectCollapseTransparent(collapsed, naive);
+  SweepRun collapsed = ExpectMatchesNaive(*ws, options, prop, &db).collapsed;
   EXPECT_FALSE(collapsed.holds);
 }
 
@@ -220,13 +306,7 @@ TEST(ClearLoopCollapseTest, ClosureSweepMatchesNaive) {
   LtlVerifyOptions options;
   options.graph.constant_pool = {V("alice"), V("pw")};
   for (const char* prop : {"forall m . G(!error(m))", "G(!CP | logged_in)"}) {
-    SweepRun collapsed = RunSweep(*ws, options, prop, &db, 1);
-    SweepRun naive;
-    {
-      ScopedNaiveSweep naive_mode;
-      naive = RunSweep(*ws, options, prop, &db, 1);
-    }
-    ExpectCollapseTransparent(collapsed, naive);
+    ExpectMatchesNaive(*ws, options, prop, &db);
   }
 }
 
@@ -259,6 +339,10 @@ TEST(CollapseJobsTest, EnumerationSweepCountersMatchAcrossJobs) {
     EXPECT_EQ(jobs4.classes + jobs4.class_hits, jobs4.valuations);
     EXPECT_GT(jobs1.valuations, 0u);
   }
+  // The oracle enumerates the same databases; G(!CP) stops at the
+  // first database that lets the user log in.
+  ExpectMatchesNaive(*ws, options, prop, nullptr);
+  ExpectMatchesNaive(*ws, options, "G(!CP)", nullptr);
 }
 
 TEST(CollapseJobsTest, ChunkedSweepVerdictAndAccountingMatchAcrossJobs) {
